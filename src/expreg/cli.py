@@ -2,8 +2,8 @@
 
 Exit codes for `decide`: 0 partition regular, 1 not partition regular,
 2 error or inconclusive (parse failure, column budget, no candidate prime
-verified).  All output is deterministic: identical inputs and flags give
-byte-identical output.
+verified, internal error).  All output is deterministic: identical inputs
+and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import dsl, search
 from .eqsys import ExpSystem, normalize, validate
-from .graphs import LinearSystem, build_linear_system
+from .graphs import LinearSystem, build_linear_system, component_map
 from .rado import ColumnBudgetExceeded, NotPrime, columns_property, is_prime, rado_colour
 from .witness import (
     Plain,
     Tower,
     find_positive_solution,
     lift,
-    path_sums,
     prime_omega,
     verify_witness,
 )
@@ -75,22 +74,14 @@ def _linear_json(lin: LinearSystem) -> dict:
     }
 
 
-def _witness_warnings(nsys, z) -> list[str]:
-    raw = path_sums(nsys, z)
-    lows: dict[int, int] = {}
-    from .graphs import component_map
-
-    reps = component_map(nsys)
-    for v in range(1, nsys.num_vertices + 1):
-        r = reps[v]
-        lows[r] = min(lows.get(r, raw[v - 1]), raw[v - 1])
-    notes = []
-    for rep in sorted(lows):
-        if lows[rep] < 0:
-            notes.append(
-                f"tower levels shifted up by {-lows[rep]} in the component of vertex {rep}"
-            )
-    return notes
+def _witness_warnings(nsys, k) -> list[str]:
+    # a representative's raw path sum is 0, so its level is exactly the
+    # shift compute_k applied to its component
+    return [
+        f"tower levels shifted up by {k[rep - 1]} in the component of vertex {rep}"
+        for rep in sorted(set(component_map(nsys).values()))
+        if k[rep - 1] > 0
+    ]
 
 
 def build_decision_report(
@@ -160,8 +151,8 @@ def build_decision_report(
                     " witness omitted"
                 )
             else:
-                warnings.extend(_witness_warnings(nsys, z))
                 w = lift(nsys, z, a, b)
+                warnings.extend(_witness_warnings(nsys, w.k))
                 ok = verify_witness(nsys, w)
                 report["witness"] = {
                     "a": w.a,
@@ -509,6 +500,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except (dsl.ParseError, CommandError, ColumnBudgetExceeded, NotPrime, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    except Exception as exc:
+        # a defect must not read as exit 1, which means "not PR"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 2
 
 

@@ -106,6 +106,33 @@ def spanning_forest(sys: ExpSystem) -> tuple[int, ...]:
     return tuple(forest)
 
 
+def forest_walk(sys: ExpSystem) -> list[tuple[int, tuple[int, int] | None]]:
+    """Every vertex in breadth-first order over the spanning forest.
+
+    Each weak component is rooted at its smallest vertex, which comes with
+    step None; every other vertex comes after its parent, with the signed
+    step (edge, sign) that leads from the parent to it.  One pass over the
+    forest adjacency, built once: O(V + E).
+    """
+    adj = _adjacency(sys, restrict=set(spanning_forest(sys)))
+    seen = [False] * (sys.num_vertices + 1)
+    order: list[tuple[int, tuple[int, int] | None]] = []
+    for root in range(1, sys.num_vertices + 1):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append((root, None))
+        front = len(order) - 1
+        while front < len(order):
+            u = order[front][0]
+            front += 1
+            for w, idx, sign in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, (idx, sign)))
+    return order
+
+
 def tree_path(sys: ExpSystem, forest: tuple[int, ...], start: int, end: int) -> SignedPath:
     """The unique forest path from start to end.
 
@@ -161,16 +188,8 @@ def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...] | None = None) ->
 
 def path_weight(sys: ExpSystem, path: SignedPath, z: tuple[int, ...]) -> int:
     """Signed sum of coefficient-vector dot products along the path."""
-    return _signed_sum_weight(sys, path.steps, z)
-
-
-def cycle_weight(sys: ExpSystem, cycle: SignedCycle, z: tuple[int, ...]) -> int:
-    return _signed_sum_weight(sys, cycle.steps, z)
-
-
-def _signed_sum_weight(sys: ExpSystem, steps, z) -> int:
     total = 0
-    for idx, sign in steps:
+    for idx, sign in path.steps:
         e = sys.edges[idx - 1]
         total += sign * sum(c * zz for c, zz in zip(e.coeffs, z))
     return total

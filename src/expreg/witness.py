@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .eqsys import Edge, ExpSystem
-from .graphs import build_linear_system, component_map, spanning_forest, tree_path
+from .graphs import build_linear_system, component_map, forest_walk
 from .rado import IntMatrix, is_prime
 
 
@@ -22,6 +22,10 @@ class NotASolution(ValueError):
 
 class NotNormalized(ValueError):
     pass
+
+
+class SelfCheckFailed(RuntimeError):
+    """An internal consistency check failed: a defect, never a bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +128,9 @@ def tower_to_int(tv: TowerValue, ceiling: int) -> int | None:
 def iter_positive_solutions(a: IntMatrix, bound: int):
     """Yield every z in [1, bound]^n with A z = 0, in lexicographic order.
 
-    Plain recursive enumeration with per-row interval pruning; exact and
-    deterministic.
+    Depth-first enumeration with per-row interval pruning, kept on an
+    explicit stack so the column count is not limited by the recursion
+    depth; exact and deterministic.
     """
     n = a.num_cols
     rows = a.entries
@@ -146,19 +151,20 @@ def iter_positive_solutions(a: IntMatrix, bound: int):
                 return False
         return True
 
-    prefix: list[int] = []
-
-    def descend():
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, bound + 1):
-            prefix.append(v)
-            if feasible(prefix):
-                yield from descend()
+    if n == 0:
+        yield ()
+        return
+    # prefix[-1] is the value under trial in the deepest column so far
+    prefix = [0]
+    while prefix:
+        prefix[-1] += 1
+        if prefix[-1] > bound:
             prefix.pop()
-
-    yield from descend()
+        elif feasible(prefix):
+            if len(prefix) == n:
+                yield tuple(prefix)
+            else:
+                prefix.append(0)
 
 
 def find_positive_solution(a: IntMatrix, bound: int) -> tuple[int, ...] | None:
@@ -176,7 +182,11 @@ def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-vertex sums along forest paths from each component representative.
 
     Checks first that z annihilates every cycle row, which is exactly what
-    makes the sums independent of the chosen paths.
+    makes the sums independent of the chosen paths.  The sums themselves
+    come from one walk of the spanning forest, each vertex adding its
+    parent step's signed weight to its parent's sum: after the check, the
+    cost is O(V + E + F * num_y) for F forest edges, where one path per
+    vertex would cost O(V * (V + E)).
     """
     if len(z) != sys.num_y:
         raise NotASolution(f"z has length {len(z)}, expected {sys.num_y}")
@@ -184,17 +194,15 @@ def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     for i, row in enumerate(lin.matrix.entries):
         if sum(c * v for c, v in zip(row, z)) != 0:
             raise NotASolution(f"z violates cycle constraint {i + 1}: {row}")
-    forest = spanning_forest(sys)
-    reps = component_map(sys)
-    sums = [0] * sys.num_vertices
-    for v in range(1, sys.num_vertices + 1):
-        path = tree_path(sys, forest, reps[v], v)
-        total = 0
-        for idx, sign in path.steps:
-            e = sys.edges[idx - 1]
-            total += sign * sum(c * zz for c, zz in zip(e.coeffs, z))
-        sums[v - 1] = total
-    return tuple(sums)
+    sums = [0] * (sys.num_vertices + 1)
+    for v, step in forest_walk(sys):
+        if step is None:
+            continue
+        idx, sign = step
+        e = sys.edges[idx - 1]
+        parent = e.tail if sign > 0 else e.head
+        sums[v] = sums[parent] + sign * sum(c * zz for c, zz in zip(e.coeffs, z))
+    return tuple(sums[1:])
 
 
 def compute_k(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
@@ -203,7 +211,8 @@ def compute_k(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     Raw path sums can be negative when coefficients are; only differences
     k_head - k_tail are constrained, so a per-component shift is free and
     keeps the levels usable as exponents.  Raises NotASolution when z fails
-    a cycle constraint.
+    a cycle constraint.  Beyond that check, the cost is linear in the size
+    of the system.
     """
     raw = path_sums(sys, z)
     reps = component_map(sys)
@@ -230,7 +239,8 @@ def lift(sys: ExpSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
     """Build the tower witness for a solution z of the linear side.
 
     The y-values are materialized (z is desk-scale by construction); the
-    x-values stay symbolic towers.
+    x-values stay symbolic towers.  Raises SelfCheckFailed if the levels
+    miss an edge identity, which would be a defect of the construction.
     """
     if a < 2 or b < 2:
         raise ValueError("witness bases must be at least 2")
@@ -242,7 +252,8 @@ def lift(sys: ExpSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
     w = Witness(a, b, tuple(z), k, xs, ys)
     # well-definedness self-check: the levels satisfy every edge, not just
     # the forest edges the construction walked
-    assert verify_witness(sys, w), "lift produced inconsistent levels"
+    if not verify_witness(sys, w):
+        raise SelfCheckFailed("lift produced inconsistent levels")
     return w
 
 
@@ -321,9 +332,11 @@ def nu_squared_reduce(sys: ExpSystem) -> IntMatrix:
             for i, v in enumerate(rel):
                 combined[i] += flip * sign * v
         x_part = combined[ny:]
-        assert not any(x_part), f"X-terms failed to cancel around cycle {cyc}: {x_part}"
+        if any(x_part):
+            raise SelfCheckFailed(f"X-terms failed to cancel around cycle {cyc}: {x_part}")
         rows.append(tuple(combined[:ny]))
 
     matrix = IntMatrix(len(rows), ny, tuple(rows))
-    assert matrix == lin.matrix, "reduction disagrees with the direct construction"
+    if matrix != lin.matrix:
+        raise SelfCheckFailed("reduction disagrees with the direct construction")
     return matrix

@@ -1,13 +1,8 @@
-from pathlib import Path
-
 import pytest
 
 from expreg.cli import main as cli_main
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "fixtures"
-SCHEMA = REPO_ROOT / "schema" / "decision-report.schema.json"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from helpers import FIXTURES
 
 
 @pytest.fixture

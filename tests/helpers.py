@@ -12,11 +12,18 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from expreg.eqsys import Edge, ExpSystem
+from expreg.graphs import component_map, path_weight, spanning_forest, tree_path
 from expreg.rado import IntMatrix
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = REPO_ROOT / "fixtures"
+SCHEMA = REPO_ROOT / "schema" / "decision-report.schema.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +205,21 @@ def simple_paths(sys: ExpSystem, start: int, end: int):
 
 
 # ---------------------------------------------------------------------------
+# per-vertex forest paths
+
+
+def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
+    """Raw tower levels with one forest path per vertex, from its component's
+    smallest vertex: the quadratic construction that path_sums replaces."""
+    forest = spanning_forest(sys)
+    reps = component_map(sys)
+    return tuple(
+        path_weight(sys, tree_path(sys, forest, reps[v], v), z)
+        for v in range(1, sys.num_vertices + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategies
 
 
@@ -213,5 +235,35 @@ def systems_strategy(max_n: int = 4, max_edges: int = 5, coeff: int = 2):
     return st.integers(1, max_n).flatmap(
         lambda n: st.lists(edges_strategy(n, coeff), max_size=max_edges).map(
             lambda es: ExpSystem(n, n, tuple(es))
+        )
+    )
+
+
+def forests_strategy(max_n: int = 10, coeff: int = 3):
+    """Acyclic systems with several components, edges either way round and
+    negative coefficients, so raw path sums go below zero.
+
+    Vertices join in a random order; each one after the first may attach to
+    an earlier one or start a component of its own.
+    """
+
+    def build(n, order, links):
+        edges = []
+        for i, (attach, j, forward, coeffs) in enumerate(links[1:], start=1):
+            if attach:
+                u, v = order[j % i], order[i]
+                edges.append(Edge(u, v, coeffs) if forward else Edge(v, u, coeffs))
+        return ExpSystem(n, n, tuple(edges))
+
+    def link(n):
+        coeffs = st.lists(st.integers(-coeff, coeff), min_size=n, max_size=n).map(tuple)
+        return st.tuples(st.booleans(), st.integers(0, n), st.booleans(), coeffs)
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.permutations(range(1, n + 1)),
+            st.lists(link(n), min_size=n, max_size=n),
         )
     )

@@ -1,8 +1,12 @@
 import json
 
 import jsonschema
+import pytest
 
-from conftest import GOLDEN, SCHEMA
+import expreg.cli
+from expreg.cli import build_decision_report
+
+from helpers import GOLDEN, SCHEMA
 
 
 def _schema():
@@ -71,6 +75,65 @@ class TestDecide:
         assert code == 2
         assert out == ""
         assert "refusing to guess" in err
+
+    def test_internal_error_exits_2(self, run_cli, fixture_path, monkeypatch):
+        # an escaped exception would exit 1, which reads as "not PR"
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(expreg.cli, "build_decision_report", broken)
+        code, out, err = run_cli("decide", fixture_path("exp-pr.xps"))
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: RuntimeError: stage broke\n"
+
+    def test_usage_error_still_exits_through_argparse(self, run_cli):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("decide")
+        assert exc.value.code == 2
+
+    def test_shift_warnings_name_each_shifted_component(self):
+        # raw levels: component 1 reaches -2 at vertex 2, component 4
+        # reaches -3 at vertex 5, the isolated vertex 6 stays at 0
+        text = (
+            "system 6\n"
+            "eq X2 ^ Y1^2 = X1\n"
+            "eq X1 ^ Y2 = X3\n"
+            "eq X5 ^ Y3*Y4*Y5 = X4\n"
+        )
+        report = build_decision_report(text, want_witness=True)
+        assert report["witness"]["z"] == [1] * 6
+        assert report["witness"]["k"] == [2, 0, 3, 3, 0, 0]
+        assert report["warnings"] == [
+            "tower levels shifted up by 2 in the component of vertex 1",
+            "tower levels shifted up by 3 in the component of vertex 4",
+        ]
+
+    def test_long_chain_witness_holds_edge_by_edge(self, run_cli, tmp_path):
+        # two of every three edges point back down the chain, so raw levels
+        # go negative
+        n = 2000
+        edges = []
+        lines = [f"system {n}"]
+        for i in range(1, n):
+            tail, head = (i, i + 1) if i % 3 == 0 else (i + 1, i)
+            edges.append((tail, head, {i: 2, i + 1: 1}))
+            lines.append(f"eq X{tail} ^ Y{i}^2*Y{i + 1} = X{head}")
+        doc = tmp_path / "chain.xps"
+        doc.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli("decide", str(doc), "--witness")
+        assert code == 0
+        (line,) = [l for l in out.splitlines() if l.startswith("witness:")]
+        fields = dict(part.split("=", 1) for part in line.split()[1:])
+        z = [int(v) for v in fields["z"].strip("()").split(",")]
+        k = [int(v) for v in fields["k"].strip("()").split(",")]
+        assert fields["verified"] == "True"
+        assert len(z) == len(k) == n
+        for tail, head, coeffs in edges:
+            step = sum(c * z[j - 1] for j, c in coeffs.items())
+            assert k[head - 1] - k[tail - 1] == step
+        assert min(k) == 0
+        assert f"warning: tower levels shifted up by {k[0]} in the component of vertex 1" in out
 
 
 class TestOtherCommands:

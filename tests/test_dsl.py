@@ -90,7 +90,7 @@ def test_round_trip(s):
 
 
 def test_fixtures_are_canonical():
-    from conftest import FIXTURES
+    from helpers import FIXTURES
 
     for path in sorted(FIXTURES.glob("*.xps")):
         text = path.read_text()

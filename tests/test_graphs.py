@@ -7,6 +7,7 @@ from expreg.graphs import (
     SignedPath,
     VerticesDisconnected,
     build_linear_system,
+    forest_walk,
     fundamental_cycles,
     path_weight,
     spanning_forest,
@@ -69,6 +70,38 @@ class TestFundamentalCycles:
         s = _sys(1, [(1, 1, [2])])
         (cycle,) = fundamental_cycles(s)
         assert cycle.steps == ((1, 1),)
+
+
+class TestForestWalk:
+    def test_roots_at_smallest_vertex(self):
+        s = _sys(4, [(2, 1, _zero(4)), (3, 2, _zero(4))])
+        assert forest_walk(s) == [(1, None), (2, (1, -1)), (3, (2, -1)), (4, None)]
+
+    def test_skips_chords_and_loops(self):
+        s = _sys(3, [(1, 1, [1, 0, 0]), (1, 2, _zero(3)), (2, 3, _zero(3)), (3, 1, _zero(3))])
+        assert forest_walk(s) == [(1, None), (2, (2, 1)), (3, (3, 1))]
+
+    def test_parent_precedes_child(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(1, 8)
+            edges = [
+                (rng.randint(1, n), rng.randint(1, n), _zero(n)) for _ in range(rng.randint(0, 10))
+            ]
+            s = _sys(n, edges)
+            walk = forest_walk(s)
+            assert sorted(v for v, _ in walk) == list(range(1, n + 1))
+            placed = set()
+            for v, step in walk:
+                if step is not None:
+                    idx, sign = step
+                    e = s.edges[idx - 1]
+                    parent, child = (e.tail, e.head) if sign > 0 else (e.head, e.tail)
+                    assert child == v and parent in placed
+                placed.add(v)
+            assert [v for v, step in walk if step is None] == [
+                block[0] for block in weak_components(s)
+            ]
 
 
 class TestTreePath:

@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys as _sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expreg.witness
 from expreg.corpus import system_corpus
 from expreg.eqsys import ExpSystem, normalize
-from expreg.graphs import build_linear_system
+from expreg.graphs import LinearSystem, build_linear_system
 from expreg.rado import IntMatrix
 from expreg.search import PASS, Constant, RadoP, RadoPNu, colour_of, eval_exp
 from expreg.witness import (
     NotASolution,
     NotNormalized,
     Plain,
+    SelfCheckFailed,
     Tower,
     Witness,
     compute_k,
@@ -19,10 +25,19 @@ from expreg.witness import (
     forbidding_colouring,
     lift,
     nu_squared_reduce,
+    path_sums,
     prime_omega,
     tower_to_int,
     verify_witness,
     weight,
+)
+
+from helpers import (
+    REPO_ROOT,
+    forests_strategy,
+    rational_kernel,
+    systems_strategy,
+    tree_path_sums,
 )
 
 
@@ -67,6 +82,11 @@ class TestFindPositiveSolution:
     def test_out_of_bound(self):
         assert find_positive_solution(IntMatrix.from_rows([[5, -1]]), 4) is None
 
+    def test_more_columns_than_the_recursion_limit(self):
+        n = _sys.getrecursionlimit() + 500
+        row = [1] + [0] * (n - 2) + [-1]
+        assert find_positive_solution(IntMatrix.from_rows([row]), 2) == (1,) * n
+
 
 class TestWeight:
     def test_single_edge(self):
@@ -97,6 +117,28 @@ class TestComputeK:
             compute_k(s, (1,))
 
 
+class TestPathSums:
+    @settings(max_examples=200, deadline=None)
+    @given(systems_strategy(max_n=5, max_edges=7, coeff=3), st.data())
+    def test_matches_per_vertex_paths(self, s, data):
+        # any integer point of the kernel of the cycle rows is a valid z
+        basis = rational_kernel(build_linear_system(s).matrix.entries, s.num_y)
+        mults = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        z = tuple(sum(m * vec[i] for m, vec in zip(mults, basis)) for i in range(s.num_y))
+        assert path_sums(s, z) == tree_path_sums(s, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests_strategy(), st.data())
+    def test_matches_per_vertex_paths_on_forests(self, s, data):
+        z = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=s.num_y, max_size=s.num_y)))
+        assert path_sums(s, z) == tree_path_sums(s, z)
+
+    def test_rejects_non_solution(self):
+        s = ExpSystem.square(2, [(1, 2, [1, 0]), (1, 2, [0, 1])])
+        with pytest.raises(NotASolution):
+            path_sums(s, (1, 2))
+
+
 class TestLift:
     def test_spec_instance(self):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
@@ -117,6 +159,31 @@ class TestLift:
         s = ExpSystem.square(1, [(1, 1, [1])])
         with pytest.raises(NotASolution):
             lift(s, (2,))
+
+    def test_self_check_rejects_inconsistent_levels(self, monkeypatch):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        monkeypatch.setattr(expreg.witness, "compute_k", lambda sys, z: (0, 2))
+        with pytest.raises(SelfCheckFailed):
+            lift(s, (1, 2))
+
+    def test_self_check_survives_optimize_flag(self):
+        # `python -O` strips assert statements; the self-check must not be one
+        code = (
+            "import expreg.witness as w\n"
+            "from expreg.eqsys import ExpSystem\n"
+            "w.compute_k = lambda sys, z: (0, 2)\n"
+            "try:\n"
+            "    w.lift(ExpSystem.square(2, [(1, 2, [1, 1])]), (1, 2))\n"
+            "except w.SelfCheckFailed:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [_sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert proc.stdout == "raised\n", proc.stderr
 
 
 class TestVerifyWitness:
@@ -181,6 +248,14 @@ class TestNuSquaredReduce:
     def test_requires_normalized(self):
         s = ExpSystem.square(2, [(1, 2, [0, 0])])
         with pytest.raises(NotNormalized):
+            nu_squared_reduce(s)
+
+    def test_self_check_rejects_disagreement(self, monkeypatch):
+        s = ExpSystem.square(2, [(1, 2, [2, 0]), (1, 2, [0, 1])])
+        real = build_linear_system(s)
+        skewed = LinearSystem(IntMatrix.from_rows([[2, 1]]), real.cycles)
+        monkeypatch.setattr(expreg.witness, "build_linear_system", lambda sys: skewed)
+        with pytest.raises(SelfCheckFailed):
             nu_squared_reduce(s)
 
 

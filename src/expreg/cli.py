@@ -9,6 +9,7 @@ and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys as _sys
@@ -18,14 +19,7 @@ from . import dsl, search
 from .eqsys import ExpSystem, normalize, validate
 from .graphs import LinearSystem, build_linear_system, component_map
 from .rado import ColumnBudgetExceeded, NotPrime, columns_property, is_prime, rado_colour
-from .witness import (
-    Plain,
-    Tower,
-    find_positive_solution,
-    lift,
-    prime_omega,
-    verify_witness,
-)
+from .witness import Plain, Tower, find_positive_solution, lift, prime_omega
 
 REPORT_VERSION = 1
 DEFAULT_CEILING = 10**6
@@ -151,9 +145,9 @@ def build_decision_report(
                     " witness omitted"
                 )
             else:
+                # lift raises SelfCheckFailed unless every edge holds
                 w = lift(nsys, z, a, b)
                 warnings.extend(_witness_warnings(nsys, w.k))
-                ok = verify_witness(nsys, w)
                 report["witness"] = {
                     "a": w.a,
                     "b": w.b,
@@ -161,7 +155,7 @@ def build_decision_report(
                     "k": list(w.k),
                     "xs": [_tower_json(tv) for tv in w.xs],
                     "ys": [_tower_json(tv) for tv in w.ys],
-                    "verified": ok,
+                    "verified": True,
                 }
     else:
         report["verdict"] = "not PR"
@@ -320,8 +314,8 @@ def _cmd_witness(args) -> int:
         z = find_positive_solution(lin.matrix, args.z_bound)
         if z is None:
             raise CommandError(f"no positive solution within bound {args.z_bound}")
+    # lift raises SelfCheckFailed unless every edge holds
     w = lift(nsys, z, args.a, args.b)
-    ok = verify_witness(nsys, w)
     doc = {
         "a": w.a,
         "b": w.b,
@@ -329,21 +323,20 @@ def _cmd_witness(args) -> int:
         "k": list(w.k),
         "xs": [_tower_json(tv) for tv in w.xs],
         "ys": [_tower_json(tv) for tv in w.ys],
-        "verified": ok,
+        "verified": True,
     }
     if args.json:
         _sys.stdout.write(_dump_json(doc))
     else:
         _sys.stdout.write(
-            "a={} b={} z=({}) k=({}) verified={}\n".format(
+            "a={} b={} z=({}) k=({}) verified=True\n".format(
                 w.a,
                 w.b,
                 ",".join(map(str, w.z)),
                 ",".join(map(str, w.k)),
-                ok,
             )
         )
-    return 0 if ok else 2
+    return 0
 
 
 def _cmd_search(args) -> int:
@@ -494,8 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# building the parser takes longer than deciding a small system, and
+# parse_args leaves it unchanged, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (dsl.ParseError, CommandError, ColumnBudgetExceeded, NotPrime, ValueError) as exc:

@@ -25,6 +25,10 @@ class NotPrime(ValueError):
     pass
 
 
+class SelfCheckFailed(RuntimeError):
+    """An internal consistency check failed: a defect, never a bad input."""
+
+
 DEFAULT_COLUMN_BUDGET = 12
 
 
@@ -244,7 +248,8 @@ def columns_property(
         return None
     part = ColumnsPartition(found)
     problems = check_columns_partition(m, part)
-    assert not problems, f"internal error: unsound partition {found}: {problems}"
+    if problems:
+        raise SelfCheckFailed(f"unsound partition {found}: {problems}")
     return part
 
 

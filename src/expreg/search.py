@@ -1,20 +1,23 @@
 """Brute-force oracles: colouring evaluation and exhaustive searches.
 
-Everything here enumerates honestly.  Assignments whose intermediate
+Everything here is exhaustive and honest.  Assignments whose intermediate
 values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
-reported.
+reported.  The exponential search counts those skips class by class
+instead of walking each tuple, and reports the same numbers a walk would.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .eqsys import ExpSystem
 from .graphs import build_linear_system
-from .rado import IntMatrix, NotPrime, is_prime, rado_colour
+from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, rado_colour
 from .witness import (
     Plain,
     Tower,
@@ -198,25 +201,34 @@ def _bounded_pow(base: int, exp: int, ceiling: int) -> int | None:
     return result
 
 
-def _edge_status(edge, xs, ys, ceiling: int) -> str:
+def _exponent(edge, ys, ceiling: int) -> tuple[int, int] | None:
+    """The edge's Y-monomial as a reduced fraction num/den, or None once
+    either side exceeds the ceiling."""
     num = den = 1
     for c, y in zip(edge.coeffs, ys):
         if c > 0:
             p = _bounded_pow(y, c, ceiling)
             if p is None:
-                return CEILING
+                return None
             num *= p
             if num > ceiling:
-                return CEILING
+                return None
         elif c < 0:
             p = _bounded_pow(y, -c, ceiling)
             if p is None:
-                return CEILING
+                return None
             den *= p
             if den > ceiling:
-                return CEILING
+                return None
     g = math.gcd(num, den)
-    num, den = num // g, den // g
+    return num // g, den // g
+
+
+def _edge_status(edge, xs, ys, ceiling: int) -> str:
+    exponent = _exponent(edge, ys, ceiling)
+    if exponent is None:
+        return CEILING
+    num, den = exponent
     # X_tail^(num/den) = X_head  <=>  X_tail^num = X_head^den over the reals
     lhs = _bounded_pow(xs[edge.tail - 1], num, ceiling)
     rhs = _bounded_pow(xs[edge.head - 1], den, ceiling)
@@ -285,39 +297,249 @@ def search_exp(
     """First monochromatic solution of the system with all variables in [2, var_bound].
 
     A monochromatic assignment must give all X- and Y-variables the same
-    colour, so the enumeration runs per colour class and keeps the global
-    lexicographic-first winner (X-variables before Y-variables).
+    colour, so the search runs per colour class and keeps the global
+    lexicographic-first winner (X-variables before Y-variables).  The
+    report is the one a tuple-by-tuple walk of each class would give,
+    stopping at the winner: `skipped` counts the tuples before it (all of
+    them, when there is none) on which no edge fails and some edge hits
+    the ceiling.  Those tuples are counted per class, not enumerated; see
+    `_ClassLattice`.
     """
+    if var_bound < 2:
+        raise ValueError(f"variable bound {var_bound} leaves no values in [2, {var_bound}]")
     classes = _colour_classes(colouring, 2, var_bound)
     nx = sys.num_vertices
-    nvars = nx + sys.num_y
     best: tuple[int, ...] | None = None
     skipped = 0
     for colour in sorted(classes):
-        values = classes[colour]
-        for assignment in itertools.product(values, repeat=nvars):
-            if best is not None and assignment >= best:
-                break
-            xs, ys = assignment[:nx], assignment[nx:]
-            failed = ceilinged = False
-            for e in sys.edges:
-                st = _edge_status(e, xs, ys, ceiling)
-                if st == FAIL:
-                    failed = True
-                    break
-                if st == CEILING:
-                    ceilinged = True
-            if failed:
-                continue
-            if ceilinged:
-                skipped += 1
-                continue
-            best = assignment
-            break
+        lattice = _ClassLattice(sys, classes[colour], ceiling)
+        first = lattice.first_solution()
+        if first is not None and (best is None or first < best):
+            best = first
+        # no tuple before the first solution passes, so every unfailed one
+        # before the winner is a ceiling skip
+        skipped += lattice.count_unfailed(below=best)
     if best is not None:
         statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
-        assert all(s == PASS for s in statuses), "found assignment failed re-verification"
-    return SearchReport(2, var_bound, ceiling, nvars, best, skipped)
+        if any(s != PASS for s in statuses):
+            raise SelfCheckFailed(f"found assignment {best} failed re-verification: {statuses}")
+    return SearchReport(2, var_bound, ceiling, nx + sys.num_y, best, skipped)
+
+
+class _ClassLattice:
+    """The assignments of one colour class, counted instead of walked.
+
+    Bit i of a mask stands for values[i].  Once the Y-values are fixed, an
+    edge either exceeds the ceiling in its Y-monomial, which makes it a
+    ceiling whatever the X-values, or reduces to an exponent n/d.  It then
+    does not fail iff x_tail^n > C, x_head^d > C or x_tail^n = x_head^d,
+    and it passes iff x_tail^n = x_head^d <= C.  Given one endpoint, the
+    other's values form the overflow suffix plus at most one exact root,
+    so the X-tuples of one Y-tuple are counted by assigning X-vertices in
+    index order, each to the intersection of the masks its loops and its
+    edges to earlier vertices allow.
+    """
+
+    def __init__(self, sys: ExpSystem, values: list[int], ceiling: int) -> None:
+        self.sys = sys
+        self.values = values
+        self.ceiling = ceiling
+        self.full = (1 << len(values)) - 1
+        self._over: dict[int, int] = {}
+        self._links: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+
+    def _over_mask(self, e: int) -> int:
+        """Values whose e-th power exceeds the ceiling: a suffix of the class."""
+        mask = self._over.get(e)
+        if mask is None:
+            k = next(
+                (i for i, v in enumerate(self.values) if _bounded_pow(v, e, self.ceiling) is None),
+                len(self.values),
+            )
+            mask = self._over[e] = self.full >> k << k
+        return mask
+
+    def _link(self, a: int, b: int) -> tuple[list[int], list[int]]:
+        """Per u = values[i]: the v with u^a, v^b unfailed, and those with u^a = v^b <= C."""
+        key = (a, b)
+        if key not in self._links:
+            roots: dict[int, int] = {}
+            for j, v in enumerate(self.values):
+                power = _bounded_pow(v, b, self.ceiling)
+                if power is None:
+                    break
+                roots[power] = 1 << j
+            over_b = self._over_mask(b)
+            unfailed, passing = [], []
+            for u in self.values:
+                power = _bounded_pow(u, a, self.ceiling)
+                root = 0 if power is None else roots.get(power, 0)
+                unfailed.append(self.full if power is None else over_b | root)
+                passing.append(root)
+            self._links[key] = (unfailed, passing)
+        return self._links[key]
+
+    def _vertices(self, exps, passing: bool) -> "_Vertices | None":
+        """Per-vertex constraints of one Y-tuple's edge exponents; None when
+        `passing` is asked of a tuple whose edges cannot all pass."""
+        nx = self.sys.num_vertices
+        doms = [self.full] * nx
+        preds: list[list[tuple[int, list[int]]]] = [[] for _ in range(nx)]
+        for e, exp in zip(self.sys.edges, exps):
+            if exp is None:
+                if passing:
+                    return None
+                continue
+            n, d = exp
+            t, h = e.tail - 1, e.head - 1
+            if t == h:
+                # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
+                if passing:
+                    doms[t] &= (self.full ^ self._over_mask(1)) if n == d else 0
+                elif n != d:
+                    doms[t] &= self._over_mask(n) | self._over_mask(d)
+            elif t < h:
+                preds[h].append((t, self._link(n, d)[passing]))
+            else:
+                preds[t].append((h, self._link(d, n)[passing]))
+        return _Vertices(doms, preds)
+
+    def _exponents(self, ys) -> tuple:
+        return tuple(_exponent(e, ys, self.ceiling) for e in self.sys.edges)
+
+    def _y_tuples(self):
+        return itertools.product(self.values, repeat=self.sys.num_y)
+
+    def first_solution(self) -> tuple[int, ...] | None:
+        """The lexicographically first assignment on which every edge passes."""
+        best: tuple[int, ...] | None = None
+        best_ys = None
+        for ys in self._y_tuples():
+            vertices = self._vertices(self._exponents(ys), passing=True)
+            xs = None if vertices is None else vertices.first()
+            # later Y-tuples sort after earlier ones with the same X-part
+            if xs is not None and (best is None or xs < best):
+                best, best_ys = xs, ys
+        if best is None:
+            return None
+        return tuple(self.values[k] for k in best) + best_ys
+
+    def count_unfailed(self, below: tuple[int, ...] | None) -> int:
+        """Assignments on which no edge fails, all of them or only those
+        sorting before `below`."""
+        nx = self.sys.num_vertices
+        total = 0
+        for ys in self._y_tuples():
+            vertices = self._vertices(self._exponents(ys), passing=False)
+            if below is None:
+                before, tie = vertices.count(0), False
+            else:
+                before, tie = vertices.count_before(self.values, below[:nx])
+            # a tuple whose X-part ties with `below` sorts before it by its Y-part
+            total += before + (tie and ys < below[nx:])
+        return total
+
+
+class _Vertices:
+    """Constraints on the X-vertices, as masks over one colour class.
+
+    Vertex i may take the bits of doms[i] that every (j, table) in
+    preds[i] allows: table[k] is the mask permitted when vertex j < i
+    holds bit k.  The walks below keep an explicit stack, so their depth
+    is not bounded by the recursion limit.
+    """
+
+    def __init__(self, doms: list[int], preds: list[list[tuple[int, list[int]]]]) -> None:
+        self.doms = doms
+        self.preds = preds
+        self.xs = [0] * len(doms)
+        # a vertex no later vertex reads contributes its mask's size as a factor
+        read = {j for later in preds for j, _ in later}
+        self.branches = [i in read for i in range(len(doms))]
+
+    def _mask(self, i: int) -> int:
+        mask = self.doms[i]
+        xs = self.xs
+        for j, table in self.preds[i]:
+            mask &= table[xs[j]]
+        return mask
+
+    def count(self, start: int) -> int:
+        """Completions of the assignment of vertices before `start`."""
+        nx = len(self.doms)
+        xs, branches = self.xs, self.branches
+        pending = [0] * (nx + 1)
+        weight = [1] * (nx + 1)
+        total = 0
+        if start < nx:
+            pending[start] = self._mask(start)
+        i = start
+        while i >= start:
+            if i == nx:
+                total += weight[nx]
+                i -= 1
+                continue
+            mask = pending[i]
+            if not mask:
+                i -= 1
+                continue
+            if branches[i]:
+                low = mask & -mask
+                pending[i] = mask ^ low
+                xs[i] = low.bit_length() - 1
+                weight[i + 1] = weight[i]
+            else:
+                pending[i] = 0
+                weight[i + 1] = weight[i] * mask.bit_count()
+            i += 1
+            if i < nx:
+                pending[i] = self._mask(i)
+        return total
+
+    def count_before(self, values: list[int], bound) -> tuple[int, bool]:
+        """Assignments sorting before the X-tuple `bound`, and whether
+        `bound` itself is one."""
+        total = 0
+        xs = self.xs
+        for i, v in enumerate(bound):
+            mask = self._mask(i)
+            k = bisect.bisect_left(values, v)
+            lower = mask & ((1 << k) - 1)
+            if lower and not self.branches[i]:
+                total += lower.bit_count() * self.count(i + 1)
+            else:
+                while lower:
+                    low = lower & -lower
+                    lower ^= low
+                    xs[i] = low.bit_length() - 1
+                    total += self.count(i + 1)
+            if k == len(values) or values[k] != v or not mask >> k & 1:
+                return total, False
+            xs[i] = k
+        return total, True
+
+    def first(self) -> tuple[int, ...] | None:
+        """The smallest assignment, as bit indices, or None."""
+        nx = len(self.doms)
+        xs = self.xs
+        pending = [0] * (nx + 1)
+        if nx:
+            pending[0] = self._mask(0)
+        i = 0
+        while i >= 0:
+            if i == nx:
+                return tuple(xs)
+            mask = pending[i]
+            if not mask:
+                i -= 1
+                continue
+            low = mask & -mask
+            pending[i] = mask ^ low
+            xs[i] = low.bit_length() - 1
+            i += 1
+            if i < nx:
+                pending[i] = self._mask(i)
+        return None
 
 
 def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> SearchReport:
@@ -331,12 +553,16 @@ def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> Searc
         for z in itertools.product(values, repeat=n):
             if best is not None and z >= best:
                 break
-            if all(sum(c * v for c, v in zip(row, z)) == 0 for row in rows):
+            if _annihilates(rows, z):
                 best = z
                 break
-    if best is not None:
-        assert all(sum(c * v for c, v in zip(row, best)) == 0 for row in rows)
+    if best is not None and any(sum(map(operator.mul, row, best)) for row in rows):
+        raise SelfCheckFailed(f"found vector {best} failed re-verification")
     return SearchReport(1, bound, None, n, best, 0)
+
+
+def _annihilates(rows, z) -> bool:
+    return all(sum(c * v for c, v in zip(row, z)) == 0 for row in rows)
 
 
 def _solution_value_sets(matrix: IntMatrix, bound: int) -> list[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .eqsys import Edge, ExpSystem
 from .graphs import build_linear_system, component_map, forest_walk
-from .rado import IntMatrix, is_prime
+from .rado import IntMatrix, SelfCheckFailed, is_prime
 
 
 class NotASolution(ValueError):
@@ -22,10 +22,6 @@ class NotASolution(ValueError):
 
 class NotNormalized(ValueError):
     pass
-
-
-class SelfCheckFailed(RuntimeError):
-    """An internal consistency check failed: a defect, never a bad input."""
 
 
 # ---------------------------------------------------------------------------

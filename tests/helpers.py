@@ -19,6 +19,15 @@ from hypothesis import strategies as st
 from expreg.eqsys import Edge, ExpSystem
 from expreg.graphs import component_map, path_weight, spanning_forest, tree_path
 from expreg.rado import IntMatrix
+from expreg.search import (
+    CEILING,
+    FAIL,
+    PASS,
+    SearchReport,
+    _colour_classes,
+    _edge_status,
+    eval_exp,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -217,6 +226,46 @@ def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
         path_weight(sys, tree_path(sys, forest, reps[v], v), z)
         for v in range(1, sys.num_vertices + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# tuple-by-tuple exponential search
+
+
+def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int) -> SearchReport:
+    """The enumerator that search_exp replaced: every tuple of every colour
+    class in lexicographic order, each edge evaluated in turn.  Its
+    SearchReport is the one search_exp must return."""
+    classes = _colour_classes(colouring, 2, var_bound)
+    nx = sys.num_vertices
+    nvars = nx + sys.num_y
+    best: tuple[int, ...] | None = None
+    skipped = 0
+    for colour in sorted(classes):
+        values = classes[colour]
+        for assignment in itertools.product(values, repeat=nvars):
+            if best is not None and assignment >= best:
+                break
+            xs, ys = assignment[:nx], assignment[nx:]
+            failed = ceilinged = False
+            for e in sys.edges:
+                st = _edge_status(e, xs, ys, ceiling)
+                if st == FAIL:
+                    failed = True
+                    break
+                if st == CEILING:
+                    ceilinged = True
+            if failed:
+                continue
+            if ceilinged:
+                skipped += 1
+                continue
+            best = assignment
+            break
+    if best is not None:
+        statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
+        assert all(s == PASS for s in statuses), "found assignment failed re-verification"
+    return SearchReport(2, var_bound, ceiling, nvars, best, skipped)
 
 
 # ---------------------------------------------------------------------------

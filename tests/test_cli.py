@@ -76,6 +76,13 @@ class TestDecide:
         assert out == ""
         assert "refusing to guess" in err
 
+    def test_empty_verify_lattice_is_an_error(self, run_cli, fixture_path):
+        # [2, 1] holds no values, so an exhausted search there proves nothing
+        code, out, err = run_cli("decide", fixture_path("exp-npr.xps"), "--verify-bound", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: variable bound 1")
+
     def test_internal_error_exits_2(self, run_cli, fixture_path, monkeypatch):
         # an escaped exception would exit 1, which reads as "not PR"
         def broken(*args, **kwargs):
@@ -191,6 +198,14 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["outcome"] == "found"
         assert doc["assignment"] == [2, 16, 2, 4]
+
+    def test_search_rejects_an_empty_lattice(self, run_cli, fixture_path):
+        code, out, err = run_cli(
+            "search", fixture_path("exp-npr.xps"), "--colouring", "mod:2", "--var-bound", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: variable bound 1")
 
     def test_rado_number_command(self, run_cli, tmp_path):
         mat = tmp_path / "schur.mat"

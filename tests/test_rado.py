@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expreg.rado
+import expreg.witness
 from expreg.rado import (
     ColumnBudgetExceeded,
     ColumnsPartition,
     DimensionMismatch,
     IntMatrix,
     NotPrime,
+    SelfCheckFailed,
     check_columns_partition,
     columns_property,
     in_span,
@@ -58,6 +61,14 @@ class TestColumnsProperty:
 
     def test_doubling_has_none(self):
         assert columns_property(IntMatrix.from_rows([[2, -1]])) is None
+
+    def test_self_check_rejects_an_unsound_partition(self, monkeypatch):
+        monkeypatch.setattr(expreg.rado, "check_columns_partition", lambda m, part: ["broken"])
+        with pytest.raises(SelfCheckFailed):
+            columns_property(IntMatrix.from_rows([[1, 1, -1]]))
+
+    def test_self_check_error_is_importable_from_witness(self):
+        assert expreg.witness.SelfCheckFailed is SelfCheckFailed
 
     def test_zero_row_matrix(self):
         part = columns_property(IntMatrix(0, 3, ()))

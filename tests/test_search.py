@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys as _sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expreg.eqsys import ExpSystem
-from expreg.rado import IntMatrix
+import expreg.search
+from expreg.corpus import system_corpus
+from expreg.dsl import parse_system
+from expreg.eqsys import ExpSystem, normalize
+from expreg.rado import IntMatrix, SelfCheckFailed
 from expreg.search import (
     CEILING,
     FAIL,
@@ -29,6 +36,8 @@ from expreg.search import (
     vdw_number,
 )
 from expreg.witness import Plain, Tower
+
+from helpers import FIXTURES, REPO_ROOT, reference_search_exp, systems_strategy
 
 
 class TestColourOf:
@@ -124,6 +133,75 @@ class TestSearchExp:
         assert report.exhausted
         assert report.skipped > 0
 
+    def test_npr_fixture_found_under_single_colour(self):
+        s = parse_system((FIXTURES / "exp-npr.xps").read_text())
+        report = search_exp(s, RadoPNu(2), 40, 10**6)
+        assert report.assignment == (2, 16, 2, 4)
+        assert report.skipped == 10656
+
+    def test_npr_fixture_exhausts_under_radop_nu3(self):
+        s = parse_system((FIXTURES / "exp-npr.xps").read_text())
+        report = search_exp(s, RadoPNu(3), 40, 10**6)
+        assert report.exhausted
+        assert report.skipped == 294831
+
+    def test_empty_lattice_rejected(self):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        for bound in (1, 0):
+            with pytest.raises(ValueError):
+                search_exp(s, Constant(0), bound, 10**6)
+
+    def test_self_check_rejects_a_wrong_assignment(self, monkeypatch):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        monkeypatch.setattr(
+            expreg.search._ClassLattice, "first_solution", lambda self: (2, 2, 2, 2)
+        )
+        with pytest.raises(SelfCheckFailed):
+            search_exp(s, Constant(0), 16, 10**6)
+
+
+# every raw variable count of systems_strategy gets a lattice the reference
+# enumerator walks in well under a second
+REFERENCE_BOUNDS = {2: 40, 4: 9, 6: 5, 8: 4}
+SPECS = [
+    Constant(0),
+    Mod(2),
+    Mod(3),
+    RadoP(3),
+    RadoPNu(2),
+    RadoPNu(3),
+    OmegaOf(Mod(2)),
+    Table((0, 1, 1, 0, 1, 0), default=1),
+]
+
+
+class TestSearchExpMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        systems_strategy(),
+        st.sampled_from(SPECS),
+        st.sampled_from([64, 10**3, 10**6]),
+        st.data(),
+    )
+    def test_random_systems(self, sys, spec, ceiling, data):
+        cap = REFERENCE_BOUNDS[sys.num_vertices + sys.num_y]
+        bound = data.draw(st.integers(2, cap), label="var_bound")
+        assert search_exp(sys, spec, bound, ceiling) == reference_search_exp(
+            sys, spec, bound, ceiling
+        )
+
+    def test_corpus_searches(self):
+        # the searches decide makes: both outcomes, ceiling skips on both
+        outcomes = set()
+        for raw in system_corpus(60, seed=7):
+            sys, _ = normalize(raw)
+            bound = REFERENCE_BOUNDS[min(2 * sys.num_y, 8)]
+            for p in (2, 3):
+                report = search_exp(sys, RadoPNu(p), bound, 10**6)
+                assert report == reference_search_exp(sys, RadoPNu(p), bound, 10**6)
+                outcomes.add((report.found, report.skipped > 0))
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
 
 class TestSearchLin:
     def test_schur_mod2(self):
@@ -142,6 +220,11 @@ class TestSearchLin:
         m = IntMatrix.from_rows([[2, -1]])
         for bound in (50, 200, 800):
             assert search_lin(m, RadoP(3), bound).exhausted
+
+    def test_self_check_rejects_a_wrong_vector(self, monkeypatch):
+        monkeypatch.setattr(expreg.search, "_annihilates", lambda rows, z: True)
+        with pytest.raises(SelfCheckFailed):
+            search_lin(IntMatrix.from_rows([[2, -1]]), Constant(0), 4)
 
 
 class TestRadoNumber:
@@ -220,3 +303,42 @@ def test_search_witnesses_finds_monochromatic():
     assert w.a == w.b == 2
     w3 = search_witnesses(s, Mod(3))
     assert w3 is not None
+
+
+@pytest.mark.parametrize(
+    "patch,call",
+    [
+        (
+            "s._ClassLattice.first_solution = lambda self: (2, 2, 2, 2)",
+            "s.search_exp(ExpSystem.square(2, [(1, 2, [1, 1])]), s.Constant(0), 16, 10**6)",
+        ),
+        (
+            "s._annihilates = lambda rows, z: True",
+            "s.search_lin(IntMatrix.from_rows([[2, -1]]), s.Constant(0), 4)",
+        ),
+        (
+            "rado.check_columns_partition = lambda m, part: ['broken']",
+            "rado.columns_property(IntMatrix.from_rows([[1, 1, -1]]))",
+        ),
+    ],
+)
+def test_self_checks_survive_optimize_flag(patch, call):
+    # `python -O` strips assert statements; the self-checks must not be ones
+    code = (
+        "import expreg.rado as rado\n"
+        "import expreg.search as s\n"
+        "from expreg.eqsys import ExpSystem\n"
+        "from expreg.rado import IntMatrix\n"
+        f"{patch}\n"
+        "try:\n"
+        f"    {call}\n"
+        "except rado.SelfCheckFailed:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [_sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.stdout == "raised\n", proc.stderr

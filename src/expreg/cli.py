@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys as _sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import dsl, search
@@ -43,7 +43,8 @@ class NoPrimeVerified(CommandError):
 def _tower_json(tv) -> dict:
     if isinstance(tv, Plain):
         return {"kind": "plain", "value": tv.value}
-    assert isinstance(tv, Tower)
+    if not isinstance(tv, Tower):
+        raise TypeError(f"not a tower value: {tv!r}")
     return {"kind": "tower", "base": tv.base, "expbase": tv.expbase, "level": tv.level}
 
 
@@ -91,9 +92,20 @@ def build_decision_report(
 ) -> dict:
     """Run the full decision pipeline on a system document.
 
-    Raises dsl.ParseError, ColumnBudgetExceeded, or NoPrimeVerified; any of
-    those means exit code 2 for the CLI.
+    Raises dsl.ParseError, CommandError (an invalid system, or a `prime`
+    that is neither "auto" nor a prime), ColumnBudgetExceeded, or
+    NoPrimeVerified; any of those means exit code 2 for the CLI.
     """
+    if prime == "auto":
+        candidates = AUTO_PRIMES
+    else:
+        try:
+            p = int(prime)
+        except ValueError:
+            p = 0
+        if not is_prime(p):
+            raise CommandError(f"--p must be prime, got {prime}")
+        candidates = (p,)
     sys0 = dsl.parse_system(text)
     problems = validate(sys0)
     if problems:
@@ -159,10 +171,7 @@ def build_decision_report(
                 }
     else:
         report["verdict"] = "not PR"
-        candidates = AUTO_PRIMES if prime == "auto" else (int(prime),)
         for p in candidates:
-            if not is_prime(p):
-                raise CommandError(f"--p must be prime, got {p}")
             colouring = search.RadoPNu(p)
             outcome = search.search_exp(nsys, colouring, verify_bound, ceiling)
             if outcome.exhausted:
@@ -192,7 +201,63 @@ def build_decision_report(
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report text: exactly json.dumps(doc, indent=2, sort_keys=True) + "\n".
+
+    json.dumps runs its pure-Python encoder whenever indent is set, one
+    call per value; report bodies are mostly long lists of ints
+    (coefficient rows, z and k), which this writes with one join each.
+    Accepts dicts with str keys, lists, str, int, bool and None, and raises
+    TypeError on anything else.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, nl: str, out: list[str]) -> None:
+    # nl is a newline plus the indentation of the line value starts on
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, got {key!r}")
+            out.append(opener + _json_str(key) + ": ")
+            _write_json(value[key], inner, out)
+            opener = "," + inner
+        out.append(nl + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == {int}:
+            # bool is a subclass of int, but not of this exact type
+            out.append("[" + inner + ("," + inner).join(map(repr, value)) + nl + "]")
+            return
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _write_json(item, inner, out)
+            opener = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} into a report")
 
 
 def _tower_text(doc: dict) -> str:

@@ -185,7 +185,8 @@ def _vector_sum(vectors) -> tuple[int, ...]:
     total: tuple[int, ...] | None = None
     for v in vectors:
         total = v if total is None else tuple(a + b for a, b in zip(total, v))
-    assert total is not None
+    if total is None:
+        raise SelfCheckFailed("no columns to sum")
     return total
 
 

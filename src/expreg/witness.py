@@ -9,6 +9,7 @@ is always decided in the exponents, never by materializing the towers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .eqsys import Edge, ExpSystem
@@ -188,7 +189,7 @@ def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
         raise NotASolution(f"z has length {len(z)}, expected {sys.num_y}")
     lin = build_linear_system(sys)
     for i, row in enumerate(lin.matrix.entries):
-        if sum(c * v for c, v in zip(row, z)) != 0:
+        if sum(map(operator.mul, row, z)) != 0:
             raise NotASolution(f"z violates cycle constraint {i + 1}: {row}")
     sums = [0] * (sys.num_vertices + 1)
     for v, step in forest_walk(sys):
@@ -197,7 +198,7 @@ def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
         idx, sign = step
         e = sys.edges[idx - 1]
         parent = e.tail if sign > 0 else e.head
-        sums[v] = sums[parent] + sign * sum(c * zz for c, zz in zip(e.coeffs, z))
+        sums[v] = sums[parent] + sign * sum(map(operator.mul, e.coeffs, z))
     return tuple(sums[1:])
 
 
@@ -262,7 +263,7 @@ def verify_witness(sys: ExpSystem, w: Witness) -> bool:
     if len(w.z) != sys.num_y or len(w.k) != sys.num_vertices:
         return False
     for e in sys.edges:
-        step = sum(c * zz for c, zz in zip(e.coeffs, w.z))
+        step = sum(map(operator.mul, e.coeffs, w.z))
         if w.k[e.tail - 1] + step != w.k[e.head - 1]:
             return False
     return True

@@ -3,12 +3,14 @@
 Everything here re-derives results through a different code path than the
 package: the brute-force partition search enumerates label vectors, the
 span test solves an augmented system, and simple cycles come from subset
-enumeration.  Keeping these separate is the point.
+enumeration, and report text comes from the standard json encoder.
+Keeping these separate is the point.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -315,4 +317,32 @@ def forests_strategy(max_n: int = 10, coeff: int = 3):
             st.permutations(range(1, n + 1)),
             st.lists(link(n), min_size=n, max_size=n),
         )
+    )
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+
+
+def reference_dump_json(doc) -> str:
+    """The canonical report text, from the standard library's encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def json_trees():
+    """Trees of every type a report may hold: str-keyed dicts (digit keys
+    included, which sort as strings), lists (int lists with bools mixed in
+    among them), str with any non-surrogate character, int, bool and None."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(max_value=-(2**64)), st.text()
+    )
+    keys = st.one_of(st.text(max_size=6), st.sampled_from(["10", "2", "1", ""]))
+    return st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+            st.dictionaries(keys, children, max_size=5),
+        ),
+        max_leaves=40,
     )

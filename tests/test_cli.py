@@ -1,12 +1,17 @@
 import json
+import os
+import random
+import subprocess
+import sys as _sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
 
 import expreg.cli
-from expreg.cli import build_decision_report
+from expreg.cli import _dump_json, build_decision_report
 
-from helpers import GOLDEN, SCHEMA
+from helpers import FIXTURES, GOLDEN, REPO_ROOT, SCHEMA, json_trees, reference_dump_json
 
 
 def _schema():
@@ -68,6 +73,14 @@ class TestDecide:
         )
         assert code == 1
         assert json.loads(out)["certificate"]["prime"] == 3
+
+    @pytest.mark.parametrize("fixture", ["exp-pr.xps", "exp-npr.xps"])
+    @pytest.mark.parametrize("prime", ["4", "0", "x"])
+    def test_invalid_prime_exits_2_whatever_the_verdict(self, run_cli, fixture_path, fixture, prime):
+        code, out, err = run_cli("decide", fixture_path(fixture), "--p", prime)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --p must be prime, got {prime}\n"
 
     def test_unverifiable_prime_is_inconclusive(self, run_cli, fixture_path):
         # the single-colour p=2 composition cannot forbid anything here
@@ -216,3 +229,82 @@ class TestOtherCommands:
     def test_vdw_command(self, run_cli):
         code, out, _ = run_cli("vdw", "--colours", "2", "--length", "3", "--max", "20")
         assert (code, out) == (0, "9\n")
+
+
+class TestJsonWriter:
+    """`--json` output is exactly the standard encoder's indent=2, sort_keys form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_trees())
+    @example({"10": [], "2": {}, "1": [[], {}, [{"": []}]]})
+    @example([1, True, -(10**40), False, 0, None])
+    @example({"k\u00e9y": "\u00fc\x00\x1f\"\\\n\t\u2028\U0001f600", "\x7f": "/"})
+    def test_matches_the_standard_encoder(self, doc):
+        assert _dump_json(doc) == reference_dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [1.5, (1, 2), {1: 2}, {"a": [b"x"]}, {"a": {None: 1}}])
+    def test_rejects_what_a_report_cannot_hold(self, doc):
+        with pytest.raises(TypeError):
+            _dump_json(doc)
+
+    def test_rejects_a_non_tower_value(self):
+        with pytest.raises(TypeError):
+            expreg.cli._tower_json(4)
+
+    def test_deep_acyclic_system_report(self, run_cli, tmp_path):
+        # the shape of the pr-deep benchmark systems at their largest: a
+        # random forest on 200 vertices, 1-3 nonzero coefficients per edge
+        rng = random.Random(20161)
+        n = 200
+        lines = [f"system {n}"]
+        for v in range(2, n + 1):
+            if rng.random() < 0.03:
+                continue
+            u = rng.randint(max(1, v - 8), v - 1)
+            tail, head = (u, v) if rng.random() < 0.5 else (v, u)
+            cols = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            factors = "*".join(f"Y{j}^{rng.choice((-2, -1, 1, 2))}" for j in cols)
+            lines.append(f"eq X{tail} ^ {factors} = X{head}")
+        doc = tmp_path / "deep.xps"
+        text = "\n".join(lines) + "\n"
+        doc.write_text(text)
+        code, out, _ = run_cli("decide", str(doc), "--witness", "--json")
+        assert code == 0
+        report = build_decision_report(text, source="deep.xps", want_witness=True)
+        assert report["witness"] is not None
+        assert out == reference_dump_json(report)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", FIXTURES / "exp-pr.xps", "--witness"],
+            ["linearize", FIXTURES / "exp-npr.xps"],
+            ["witness", FIXTURES / "exp-pr.xps", "--z", "1,1,1,1"],
+            ["search", FIXTURES / "exp-npr.xps", "--colouring", "mod:2", "--var-bound", "20"],
+            ["colouring", "--spec", "radop-nu:3", "--eval", "64"],
+            ["nu", "72"],
+            ["cp", "3", "18"],
+            ["rado-number", "{schur}", "--colours", "2", "--max", "10"],
+            ["vdw", "--colours", "2", "--length", "3", "--max", "20"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_json_subcommand(self, run_cli, tmp_path, argv):
+        schur = tmp_path / "schur.mat"
+        schur.write_text("1 1 -1\n")
+        argv = [schur if a == "{schur}" else a for a in argv]
+        code, out, _ = run_cli(*argv, "--json")
+        assert code == 0
+        assert out == reference_dump_json(json.loads(out))
+
+    @pytest.mark.parametrize("name,code", [("exp-pr", 0), ("exp-npr", 1)])
+    def test_golden_bytes_under_optimize_flag(self, name, code):
+        argv = ["decide", str(FIXTURES / f"{name}.xps"), "--witness", "--json"]
+        proc = subprocess.run(
+            [_sys.executable, "-O", "-m", "expreg.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == (GOLDEN / f"{name}.decide.json").read_text()

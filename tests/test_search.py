@@ -320,6 +320,7 @@ def test_search_witnesses_finds_monochromatic():
             "rado.check_columns_partition = lambda m, part: ['broken']",
             "rado.columns_property(IntMatrix.from_rows([[1, 1, -1]]))",
         ),
+        ("pass", "rado._vector_sum([])"),
     ],
 )
 def test_self_checks_survive_optimize_flag(patch, call):

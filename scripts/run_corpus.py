@@ -1,28 +1,17 @@
 #!/usr/bin/env python3
 """Corpus experiment: decide random systems and cross-check both certificate
-directions at desk scale.
+directions at desk scale (`expreg.corpus.run_experiment`).
 
-For every system in a seeded corpus the decision pipeline runs; non-PR
-verdicts must produce a forbidding colouring that an exhaustive search
-re-verifies empty, PR verdicts are asked for monochromatic witnesses under
-a panel of colourings (failure to find one within bounds is reported as
-inconclusive, never as a refutation).  A found solution under an emitted
-forbidding colouring is a hard failure and exits nonzero.
+Prints one line per unverified system or hard failure, then the counts,
+and exits nonzero on any hard failure.
 """
 
 import argparse
 import sys
 import time
 
-from expreg.corpus import DEFAULT_SEED, system_corpus
+from expreg.corpus import DEFAULT_SEED, run_experiment
 from expreg.dsl import print_colouring
-from expreg.eqsys import normalize
-from expreg.graphs import build_linear_system
-from expreg.rado import is_partition_regular
-from expreg.search import Mod, RadoPNu, colour_of_tower, search_exp, search_witnesses
-
-PANEL = (Mod(2), Mod(3), RadoPNu(3))
-PICK_BOUNDS = {1: 40, 2: 40, 3: 20, 4: 10, 5: 7, 6: 6, 7: 5, 8: 4}
 
 
 def main() -> int:
@@ -33,52 +22,18 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.time()
-    pr = npr = unverified = hard_failures = 0
-    inconclusive = {spec: 0 for spec in PANEL}
-
-    for index, raw in enumerate(system_corpus(args.count, seed=args.seed), start=1):
-        sys_, _ = normalize(raw)
-        lin = build_linear_system(sys_)
-        regular, _ = is_partition_regular(lin.matrix)
-        nvars = sys_.num_vertices + sys_.num_y
-        if regular:
-            pr += 1
-            for spec in PANEL:
-                w = search_witnesses(sys_, spec, z_bound=args.z_bound)
-                if w is None:
-                    inconclusive[spec] += 1
-                    continue
-                seen = {colour_of_tower(spec, tv) for tv in w.xs + w.ys}
-                if len(seen) != 1:
-                    hard_failures += 1
-                    print(
-                        f"system {index}: witness colour check failed"
-                        f" under {print_colouring(spec)}"
-                    )
-        else:
-            npr += 1
-            pick = PICK_BOUNDS[min(nvars, 8)]
-            chosen = None
-            for p in (2, 3, 5, 7, 11, 13):
-                if search_exp(sys_, RadoPNu(p), pick, 10**6).exhausted:
-                    chosen = p
-                    break
-            if chosen is None:
-                unverified += 1
-                print(f"system {index}: no listed prime verified at bound {pick}")
-                continue
-            recheck = pick + (1 if nvars >= 5 else 2)
-            if search_exp(sys_, RadoPNu(chosen), recheck, 10**6).found:
-                hard_failures += 1
-                print(f"system {index}: emitted colouring radop-nu:{chosen} admitted a solution")
+    result = run_experiment(args.count, args.seed, args.z_bound)
+    for note in result["notes"]:
+        print(note)
 
     elapsed = time.time() - start
+    pr = result["pr"]
     print(f"corpus: {args.count} systems (seed {args.seed}), {elapsed:.1f}s")
-    print(f"  PR: {pr}   non-PR: {npr}   unverified primes: {unverified}")
-    for spec, count in inconclusive.items():
+    print(f"  PR: {pr}   non-PR: {result['npr']}   unverified primes: {result['unverified']}")
+    for spec, count in result["inconclusive"].items():
         print(f"  inconclusive under {print_colouring(spec)}: {count}/{pr}")
-    print(f"  hard failures: {hard_failures}")
-    return 1 if hard_failures else 0
+    print(f"  hard failures: {result['hard_failures']}")
+    return 1 if result["hard_failures"] else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,7 @@ from .graphs import build_linear_system, fundamental_cycles, weak_components
 from .rado import IntMatrix, columns_property, is_partition_regular, rado_colour
 from .witness import (
     Witness,
-    expand_pattern,
     find_positive_solution,
-    forbidding_colouring,
     lift,
     nu_squared_reduce,
     prime_omega,
@@ -30,9 +28,7 @@ __all__ = [
     "Witness",
     "build_linear_system",
     "columns_property",
-    "expand_pattern",
     "find_positive_solution",
-    "forbidding_colouring",
     "fundamental_cycles",
     "is_partition_regular",
     "lift",

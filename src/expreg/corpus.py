@@ -1,16 +1,28 @@
 """Seeded random system corpus shared by the test suite and the scripts.
 
 Every randomized check in the repository draws from here with an explicit
-seed, so runs are reproducible byte for byte.
+seed, so runs are reproducible byte for byte.  `run_experiment` is the
+corpus experiment that `scripts/run_corpus.py` prints and acceptance
+criterion 10 asserts.
 """
 
 from __future__ import annotations
 
 import random
 
-from .eqsys import Edge, ExpSystem
+from .dsl import print_colouring
+from .eqsys import Edge, ExpSystem, normalize
+from .graphs import build_linear_system
+from .rado import is_partition_regular
+from .search import Mod, RadoPNu, colour_of_tower, search_exp, search_witnesses
 
 DEFAULT_SEED = 271828
+
+# colourings a PR system's lifted witnesses are asked to be monochromatic under
+PANEL = (Mod(2), Mod(3), RadoPNu(3))
+# verify bound per variable count (X plus Y), scaled so a full scan stays
+# around 10^5 assignments
+PICK_BOUNDS = {1: 40, 2: 40, 3: 20, 4: 10, 5: 7, 6: 6, 7: 5, 8: 4}
 
 
 def random_system(
@@ -42,3 +54,53 @@ def iter_systems(seed: int = DEFAULT_SEED, **kwargs):
     rng = random.Random(seed)
     while True:
         yield random_system(rng, **kwargs)
+
+
+def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12) -> dict:
+    """Decide the first `count` corpus systems and cross-check both certificates.
+
+    A PR system is asked for a lifted witness that is monochromatic under
+    each PANEL colouring: none within the bounds is inconclusive, never a
+    refutation, and one that is not monochromatic is a hard failure.  A
+    not-PR system takes the first listed prime whose radop-nu colouring is
+    verified empty at its PICK_BOUNDS bound; a solution for it at a larger
+    bound is a hard failure.  Returns the counts `pr`, `npr`, `unverified`,
+    `hard_failures` and `inconclusive` (PANEL spec -> count), and `notes`,
+    one line per unverified system or hard failure.
+    """
+    out = {"pr": 0, "npr": 0, "unverified": 0, "hard_failures": 0, "notes": []}
+    out["inconclusive"] = dict.fromkeys(PANEL, 0)
+    for index, raw in enumerate(system_corpus(count, seed=seed), start=1):
+        sys_, _ = normalize(raw)
+        regular, _ = is_partition_regular(build_linear_system(sys_).matrix)
+        nvars = sys_.num_vertices + sys_.num_y
+        if regular:
+            out["pr"] += 1
+            for spec in PANEL:
+                w = search_witnesses(sys_, spec, z_bound=z_bound)
+                if w is None:
+                    out["inconclusive"][spec] += 1
+                elif len({colour_of_tower(spec, tv) for tv in w.xs + w.ys}) != 1:
+                    out["hard_failures"] += 1
+                    out["notes"].append(
+                        f"system {index}: witness colour check failed"
+                        f" under {print_colouring(spec)}"
+                    )
+            continue
+        out["npr"] += 1
+        pick = PICK_BOUNDS[min(nvars, 8)]
+        for chosen in (2, 3, 5, 7, 11, 13):
+            if search_exp(sys_, RadoPNu(chosen), pick, 10**6).exhausted:
+                break
+        else:
+            out["unverified"] += 1
+            out["notes"].append(f"system {index}: no listed prime verified at bound {pick}")
+            continue
+        # the emitted colouring must stay empty at a larger desk bound
+        recheck = pick + (1 if nvars >= 5 else 2)
+        if search_exp(sys_, RadoPNu(chosen), recheck, 10**6).found:
+            out["hard_failures"] += 1
+            out["notes"].append(
+                f"system {index}: emitted colouring radop-nu:{chosen} admitted a solution"
+            )
+    return out

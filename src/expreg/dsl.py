@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from . import search
 from .eqsys import Edge, ExpSystem
 from .rado import IntMatrix, NotPrime
 
@@ -215,8 +216,6 @@ def print_matrix(m: IntMatrix) -> str:
 def parse_colouring(text: str):
     """Colouring spec strings: const:C, mod:M, radop:P, radop-nu:P,
     omega:<spec>, table:<path>."""
-    from . import search  # specs live with their evaluator
-
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"expected 'kind:argument', found {text!r}", 1, 1)
@@ -247,8 +246,6 @@ def parse_colouring(text: str):
 
 
 def _parse_table(content: str):
-    from . import search
-
     tokens = content.split()
     default = 0
     if tokens and tokens[0] == "default":
@@ -268,8 +265,6 @@ def _parse_table(content: str):
 
 
 def print_colouring(spec) -> str:
-    from . import search
-
     if isinstance(spec, search.Constant):
         return f"const:{spec.colour}"
     if isinstance(spec, search.Mod):

@@ -1,5 +1,10 @@
 """Multigraph structure of a system: components, spanning forest, cycle basis.
 
+`build_linear_system` is the one analysis of a normalized system: from one
+spanning forest, the chords give the cycle rows of the linear side and one
+walk gives the components and the order in which tower levels are summed.
+Later stages read that result instead of recomputing any of it.
+
 Edge indices are 1-based throughout, matching vertex numbering.  A signed
 step (e, +1) traverses edge e from tail to head, (e, -1) the other way.
 """
@@ -35,20 +40,22 @@ class SignedCycle:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The cycle-indexed linear constraints on the Y-exponents."""
+    """The analysis of `system`: one cycle-indexed row of constraints on the
+    Y-exponents per basis cycle, and the forest walk and component map
+    (vertex -> smallest vertex of its weak component) of the same forest."""
 
     matrix: IntMatrix
     cycles: tuple[SignedCycle, ...]
+    system: ExpSystem
+    walk: list[tuple[int, tuple[int, int] | None]]
+    reps: dict[int, int]
 
 
-def _adjacency(sys: ExpSystem, restrict: set[int] | None = None):
-    """vertex -> [(neighbour, edge index, sign when leaving vertex)], loops omitted."""
+def _adjacency(sys: ExpSystem, forest: tuple[int, ...]):
+    """vertex -> [(neighbour, forest edge index, sign when leaving vertex)]."""
     adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, sys.num_vertices + 1)}
-    for idx, e in enumerate(sys.edges, start=1):
-        if restrict is not None and idx not in restrict:
-            continue
-        if e.tail == e.head:
-            continue
+    for idx in forest:
+        e = sys.edges[idx - 1]
         adj[e.tail].append((e.head, idx, +1))
         adj[e.head].append((e.tail, idx, -1))
     return adj
@@ -60,29 +67,26 @@ def weak_components(sys: ExpSystem) -> list[list[int]]:
     Blocks are sorted by smallest member, which doubles as the canonical
     representative.
     """
-    adj = _adjacency(sys)
-    seen: set[int] = set()
-    blocks = []
+    blocks: dict[int, list[int]] = {}
+    reps = component_map(forest_walk(sys, spanning_forest(sys)))
     for v in range(1, sys.num_vertices + 1):
-        if v in seen:
-            continue
-        block = []
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            u = queue.popleft()
-            block.append(u)
-            for w, _, _ in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        blocks.append(sorted(block))
-    return blocks
+        blocks.setdefault(reps[v], []).append(v)
+    return list(blocks.values())
 
 
-def component_map(sys: ExpSystem) -> dict[int, int]:
-    """vertex -> smallest vertex of its weak component."""
-    return {v: block[0] for block in weak_components(sys) for v in block}
+def component_map(walk: list[tuple[int, tuple[int, int] | None]]) -> dict[int, int]:
+    """vertex -> smallest vertex of its weak component, read off a forest walk.
+
+    The walk lists each component in one run that starts at its root, the
+    component's smallest vertex, which is the only vertex with step None.
+    """
+    reps: dict[int, int] = {}
+    root = 0
+    for v, step in walk:
+        if step is None:
+            root = v
+        reps[v] = root
+    return reps
 
 
 def spanning_forest(sys: ExpSystem) -> tuple[int, ...]:
@@ -106,15 +110,17 @@ def spanning_forest(sys: ExpSystem) -> tuple[int, ...]:
     return tuple(forest)
 
 
-def forest_walk(sys: ExpSystem) -> list[tuple[int, tuple[int, int] | None]]:
-    """Every vertex in breadth-first order over the spanning forest.
+def forest_walk(
+    sys: ExpSystem, forest: tuple[int, ...]
+) -> list[tuple[int, tuple[int, int] | None]]:
+    """Every vertex in breadth-first order over the given spanning forest.
 
     Each weak component is rooted at its smallest vertex, which comes with
     step None; every other vertex comes after its parent, with the signed
     step (edge, sign) that leads from the parent to it.  One pass over the
     forest adjacency, built once: O(V + E).
     """
-    adj = _adjacency(sys, restrict=set(spanning_forest(sys)))
+    adj = _adjacency(sys, forest)
     seen = [False] * (sys.num_vertices + 1)
     order: list[tuple[int, tuple[int, int] | None]] = []
     for root in range(1, sys.num_vertices + 1):
@@ -139,7 +145,7 @@ def tree_path(sys: ExpSystem, forest: tuple[int, ...], start: int, end: int) -> 
     Raises VerticesDisconnected when the endpoints lie in different weak
     components.
     """
-    adj = _adjacency(sys, restrict=set(forest))
+    adj = _adjacency(sys, forest)
     if start == end:
         return SignedPath((), start, end)
     back: dict[int, tuple[int, int, int]] = {}  # vertex -> (previous vertex, edge, sign)
@@ -186,15 +192,6 @@ def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...] | None = None) ->
     return cycles
 
 
-def path_weight(sys: ExpSystem, path: SignedPath, z: tuple[int, ...]) -> int:
-    """Signed sum of coefficient-vector dot products along the path."""
-    total = 0
-    for idx, sign in path.steps:
-        e = sys.edges[idx - 1]
-        total += sign * sum(c * zz for c, zz in zip(e.coeffs, z))
-    return total
-
-
 def cycle_edge_sum(sys: ExpSystem, cycle: SignedCycle) -> tuple[int, ...]:
     """Signed sum of the coefficient vectors along the cycle's step order."""
     total = [0] * sys.num_y
@@ -206,7 +203,8 @@ def cycle_edge_sum(sys: ExpSystem, cycle: SignedCycle) -> tuple[int, ...]:
 
 
 def build_linear_system(sys: ExpSystem) -> LinearSystem:
-    """The linear constraint system on the Y-exponents, one row per basis cycle.
+    """The linear constraint system on the Y-exponents, one row per basis cycle,
+    with the forest walk and component map of the same spanning forest.
 
     Row orientation: loops are traversed forward; for a chord cycle the row
     follows the forest path from the chord's tail to its head (so a pair of
@@ -214,7 +212,9 @@ def build_linear_system(sys: ExpSystem) -> LinearSystem:
     contributes u + v - w).  The stored cycles list the chord first, which
     is the opposite traversal; either sign gives the same constraint.
     """
-    cycles = fundamental_cycles(sys)
+    forest = spanning_forest(sys)
+    walk = forest_walk(sys, forest)
+    cycles = fundamental_cycles(sys, forest)
     rows = []
     for cyc in cycles:
         s = cycle_edge_sum(sys, cyc)
@@ -224,4 +224,4 @@ def build_linear_system(sys: ExpSystem) -> LinearSystem:
         else:
             rows.append(tuple(-v for v in s))
     matrix = IntMatrix(len(rows), sys.num_y, tuple(rows))
-    return LinearSystem(matrix, tuple(cycles))
+    return LinearSystem(matrix, tuple(cycles), sys, walk, component_map(walk))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
 
 
@@ -65,13 +64,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(1, self.num_cols + 1)]
 
-    def scale_row(self, i: int, factor: int) -> "IntMatrix":
-        """New matrix with row i (1-based) multiplied by factor."""
-        rows = [
-            tuple(factor * v for v in row) if r == i - 1 else row
-            for r, row in enumerate(self.entries)
-        ]
-        return IntMatrix(self.num_rows, self.num_cols, tuple(rows))
 
 
 class _Span:
@@ -263,19 +255,6 @@ def is_partition_regular(
     """
     part = columns_property(m, max_cols=max_cols)
     return part is not None, part
-
-
-def single_equation_oracle(coeffs: Sequence[int]) -> bool:
-    """Independent oracle for one equation c . x = 0 with nonzero coefficients:
-    partition regular iff some nonempty subset of the coefficients sums to zero.
-    """
-    if any(c == 0 for c in coeffs):
-        raise ValueError("oracle requires nonzero coefficients")
-    for size in range(1, len(coeffs) + 1):
-        for combo in combinations(coeffs, size):
-            if sum(combo) == 0:
-                return True
-    return False
 
 
 def is_prime(n: int) -> bool:

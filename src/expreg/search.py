@@ -20,7 +20,6 @@ from .graphs import build_linear_system
 from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, rado_colour
 from .witness import (
     Plain,
-    Tower,
     TowerValue,
     Witness,
     iter_positive_solutions,
@@ -28,10 +27,6 @@ from .witness import (
     prime_omega,
     tower_to_int,
 )
-
-
-class RestrictionUnsupported(ValueError):
-    pass
 
 
 # colour reserved for 1 under factor-count colourings; real colours are >= 0
@@ -126,21 +121,6 @@ def colour_of(spec: ColouringSpec, x: int) -> int:
         return SENTINEL_COLOUR if x == 1 else colour_of(spec.base, prime_omega(x))
     if isinstance(spec, Table):
         return spec.colours[x - 1] if x <= len(spec.colours) else spec.default
-    raise TypeError(f"not a colouring spec: {spec!r}")
-
-
-def colour_count(spec: ColouringSpec) -> int:
-    """Size of the colour set the spec can produce (sentinel excluded)."""
-    if isinstance(spec, Constant):
-        return 1
-    if isinstance(spec, Mod):
-        return spec.modulus
-    if isinstance(spec, (RadoP, RadoPNu)):
-        return max(spec.p - 1, 1)
-    if isinstance(spec, OmegaOf):
-        return colour_count(spec.base)
-    if isinstance(spec, Table):
-        return len(set(spec.colours) | {spec.default})
     raise TypeError(f"not a colouring spec: {spec!r}")
 
 
@@ -619,27 +599,6 @@ def rado_number(matrix: IntMatrix, colours: int, max_n: int) -> int | None:
     return None
 
 
-def find_progression(table, length: int) -> tuple[int, int] | None:
-    """First (a, d) whose arithmetic progression of the given length is
-    monochromatic in the colour table over [1, len(table)].
-
-    Length 1 degenerates to the single element (1, 0).
-    """
-    if length < 1:
-        raise ValueError("length must be positive")
-    n = len(table)
-    if n == 0:
-        return None
-    if length == 1:
-        return (1, 0)
-    for a in range(1, n + 1):
-        for d in range(1, (n - a) // (length - 1) + 1):
-            first = table[a - 1]
-            if all(table[a - 1 + i * d] == first for i in range(1, length)):
-                return (a, d)
-    return None
-
-
 def vdw_number(colours: int, length: int, max_n: int) -> int | None:
     """Least N <= max_n such that every colouring of [1, N] has a monochromatic
     arithmetic progression of the given length; None beyond max_n."""
@@ -658,59 +617,23 @@ def vdw_number(colours: int, length: int, max_n: int) -> int | None:
     return None
 
 
-def d_restrict(colouring: ColouringSpec, d: int, x: int) -> int:
-    """Colour of 2^(d * 2^x) without materializing the value.
-
-    The doubly exponential argument only ever appears through its factor
-    count d * 2^x or through modular exponentiation, except for Table specs
-    which need the value itself and fail once it leaves their range.
-    """
-    if d < 1 or x < 1:
-        raise ValueError("d and x must be positive")
-    if x > 64:
-        raise ValueError("x above 64 is not supported")
-    e = d << x
-    if isinstance(colouring, Constant):
-        return colouring.colour
-    if isinstance(colouring, Mod):
-        return pow(2, e, colouring.modulus)
-    if isinstance(colouring, RadoP):
-        return 1 if colouring.p == 2 else pow(2, e, colouring.p)
-    if isinstance(colouring, RadoPNu):
-        return rado_colour(colouring.p, e)
-    if isinstance(colouring, OmegaOf):
-        return colour_of(colouring.base, e)
-    if isinstance(colouring, Table):
-        size = len(colouring.colours)
-        if size == 0 or e > size.bit_length() - 1:
-            raise RestrictionUnsupported("2^(d*2^x) is beyond the table range")
-        return colouring.colours[(1 << e) - 1]
-    raise TypeError(f"not a colouring spec: {colouring!r}")
+WITNESS_BASES = ((2, 2), (3, 3), (2, 3), (3, 2), (5, 5))
+MAX_WITNESS_SOLUTIONS = 200
 
 
-DEFAULT_WITNESS_BASES = ((2, 2), (3, 3), (2, 3), (3, 2), (5, 5))
-
-
-def search_witnesses(
-    sys: ExpSystem,
-    colouring: ColouringSpec,
-    z_bound: int = 12,
-    bases=DEFAULT_WITNESS_BASES,
-    max_solutions: int = 200,
-) -> Witness | None:
+def search_witnesses(sys: ExpSystem, colouring: ColouringSpec, z_bound: int = 12) -> Witness | None:
     """First lifted witness that is monochromatic under the given colouring.
 
-    Scans solutions of the linear side in lexicographic order and base pairs
-    in the given order; colours of the tower values are evaluated in the
-    exponents.  Returns None when nothing within the bounds is monochromatic
-    (which never refutes anything: existence is guaranteed, location is not).
+    Scans the first MAX_WITNESS_SOLUTIONS solutions of the linear side in
+    lexicographic order and the WITNESS_BASES pairs in order; colours of the
+    tower values are evaluated in the exponents.  Returns None when nothing
+    within the bounds is monochromatic (which never refutes anything:
+    existence is guaranteed, location is not).
     """
     lin = build_linear_system(sys)
-    for count, z in enumerate(iter_positive_solutions(lin.matrix, z_bound)):
-        if count >= max_solutions:
-            break
-        for a, b in bases:
-            w = lift(sys, z, a, b)
+    for z in itertools.islice(iter_positive_solutions(lin.matrix, z_bound), MAX_WITNESS_SOLUTIONS):
+        for a, b in WITNESS_BASES:
+            w = lift(lin, z, a, b)
             seen = {colour_of_tower(colouring, tv) for tv in w.xs}
             seen.update(colour_of_tower(colouring, tv) for tv in w.ys)
             if len(seen) == 1 and SENTINEL_COLOUR not in seen:

@@ -1,9 +1,13 @@
 """Certificates for both decision directions.
 
 When the linear side is solvable we lift a solution z to a tower witness
-x_i = a^(b^k_i), y_i = b^(z_i); when it is not, we compose a forbidding
-colouring of the linear side with the prime-factor count.  Tower equality
-is always decided in the exponents, never by materializing the towers.
+x_i = a^(b^k_i), y_i = b^(z_i), reading the cycle rows, the forest walk and
+the components from the system's one analysis (`graphs.LinearSystem`); when
+it is not, a forbidding colouring composes a colouring of the linear side
+with the prime-factor count computed here.  Tower equality is always
+decided in the exponents, never by materializing the towers.
+`verify_witness` takes the raw system and does its own arithmetic, so the
+self-check after a lift does not reuse the construction it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .eqsys import Edge, ExpSystem
-from .graphs import build_linear_system, component_map, forest_walk
+from .graphs import LinearSystem, build_linear_system
 from .rado import IntMatrix, SelfCheckFailed, is_prime
 
 
@@ -169,30 +173,24 @@ def find_positive_solution(a: IntMatrix, bound: int) -> tuple[int, ...] | None:
     return next(iter_positive_solutions(a, bound), None)
 
 
-def weight(sys: ExpSystem, z: tuple[int, ...]) -> int:
-    """Coefficient mass times exponent mass: the tower-level budget of z."""
-    mass = sum(abs(c) for e in sys.edges for c in e.coeffs)
-    return mass * sum(z)
-
-
-def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
+def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-vertex sums along forest paths from each component representative.
 
     Checks first that z annihilates every cycle row, which is exactly what
     makes the sums independent of the chosen paths.  The sums themselves
-    come from one walk of the spanning forest, each vertex adding its
-    parent step's signed weight to its parent's sum: after the check, the
-    cost is O(V + E + F * num_y) for F forest edges, where one path per
+    come from the analysis's walk of the spanning forest, each vertex adding
+    its parent step's signed weight to its parent's sum: after the check,
+    the cost is O(V + F * num_y) for F forest edges, where one path per
     vertex would cost O(V * (V + E)).
     """
+    sys = lin.system
     if len(z) != sys.num_y:
         raise NotASolution(f"z has length {len(z)}, expected {sys.num_y}")
-    lin = build_linear_system(sys)
     for i, row in enumerate(lin.matrix.entries):
         if sum(map(operator.mul, row, z)) != 0:
             raise NotASolution(f"z violates cycle constraint {i + 1}: {row}")
     sums = [0] * (sys.num_vertices + 1)
-    for v, step in forest_walk(sys):
+    for v, step in lin.walk:
         if step is None:
             continue
         idx, sign = step
@@ -202,7 +200,7 @@ def path_sums(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sums[1:])
 
 
-def compute_k(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
+def compute_k(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     """Tower levels: path sums shifted so each weak component has minimum 0.
 
     Raw path sums can be negative when coefficients are; only differences
@@ -211,13 +209,11 @@ def compute_k(sys: ExpSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     a cycle constraint.  Beyond that check, the cost is linear in the size
     of the system.
     """
-    raw = path_sums(sys, z)
-    reps = component_map(sys)
+    raw = path_sums(lin, z)
     low: dict[int, int] = {}
-    for v in range(1, sys.num_vertices + 1):
-        r = reps[v]
+    for v, r in lin.reps.items():
         low[r] = min(low.get(r, raw[v - 1]), raw[v - 1])
-    return tuple(raw[v - 1] - low[reps[v]] for v in range(1, sys.num_vertices + 1))
+    return tuple(raw[v - 1] - low[lin.reps[v]] for v in range(1, len(raw) + 1))
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,8 @@ class Witness:
     ys: tuple[TowerValue, ...]
 
 
-def lift(sys: ExpSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
-    """Build the tower witness for a solution z of the linear side.
+def lift(lin: LinearSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
+    """Build the tower witness for a solution z of the linear side of lin.system.
 
     The y-values are materialized (z is desk-scale by construction); the
     x-values stay symbolic towers.  Raises SelfCheckFailed if the levels
@@ -243,13 +239,13 @@ def lift(sys: ExpSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
         raise ValueError("witness bases must be at least 2")
     if any(v < 1 for v in z):
         raise NotASolution("z must be a positive vector")
-    k = compute_k(sys, z)
+    k = compute_k(lin, z)
     xs = tuple(Tower(a, b, kv) for kv in k)
     ys = tuple(Plain(b**zv) for zv in z)
     w = Witness(a, b, tuple(z), k, xs, ys)
     # well-definedness self-check: the levels satisfy every edge, not just
     # the forest edges the construction walked
-    if not verify_witness(sys, w):
+    if not verify_witness(lin.system, w):
         raise SelfCheckFailed("lift produced inconsistent levels")
     return w
 
@@ -267,29 +263,6 @@ def verify_witness(sys: ExpSystem, w: Witness) -> bool:
         if w.k[e.tail - 1] + step != w.k[e.head - 1]:
             return False
     return True
-
-
-def forbidding_colouring(c):
-    """Compose a colouring of the linear side with the prime-factor count.
-
-    The result colours integers >= 2; the value 1 gets the reserved
-    sentinel, which never matters because all pattern variables exceed 1.
-    """
-    from . import search as _search  # imported here to avoid a module cycle
-
-    if isinstance(c, _search.RadoP):
-        return _search.RadoPNu(c.p)
-    if isinstance(c, _search.Constant):
-        return c
-    return _search.OmegaOf(c)
-
-
-def expand_pattern(xs: tuple[int, ...], budget: int, a: int, b: int) -> list[TowerValue]:
-    """The tuple a, b^(x_1), ..., b^(x_n), a^(b^1), ..., a^(b^budget)."""
-    values: list[TowerValue] = [Plain(a)]
-    values.extend(Plain(b**x) for x in xs)
-    values.extend(Tower(a, b, level) for level in range(1, budget + 1))
-    return values
 
 
 # ---------------------------------------------------------------------------

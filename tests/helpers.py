@@ -3,8 +3,10 @@
 Everything here re-derives results through a different code path than the
 package: the brute-force partition search enumerates label vectors, the
 span test solves an augmented system, and simple cycles come from subset
-enumeration, and report text comes from the standard json encoder.
-Keeping these separate is the point.
+enumeration, components from their own breadth-first search, and report
+text comes from the standard json encoder.  Keeping these separate is the
+point.  The small oracles near the end (single equations, progressions,
+path and pattern helpers) have no caller in the package.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from expreg.eqsys import Edge, ExpSystem
-from expreg.graphs import component_map, path_weight, spanning_forest, tree_path
+from expreg.graphs import SignedPath, spanning_forest, tree_path
 from expreg.rado import IntMatrix
 from expreg.search import (
     CEILING,
@@ -30,6 +32,7 @@ from expreg.search import (
     _edge_status,
     eval_exp,
 )
+from expreg.witness import Plain, Tower, TowerValue
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -216,14 +219,51 @@ def simple_paths(sys: ExpSystem, start: int, end: int):
 
 
 # ---------------------------------------------------------------------------
-# per-vertex forest paths
+# components by breadth-first search, per-vertex forest paths
+
+
+def reference_weak_components(sys: ExpSystem) -> list[list[int]]:
+    """Connected components of the underlying undirected multigraph, each
+    found by its own breadth-first search over every non-loop edge.  Blocks
+    are sorted by smallest member."""
+    adj: dict[int, list[int]] = {v: [] for v in range(1, sys.num_vertices + 1)}
+    for e in sys.edges:
+        if e.tail != e.head:
+            adj[e.tail].append(e.head)
+            adj[e.head].append(e.tail)
+    seen: set[int] = set()
+    blocks = []
+    for v in range(1, sys.num_vertices + 1):
+        if v in seen:
+            continue
+        block = []
+        queue = deque([v])
+        seen.add(v)
+        while queue:
+            u = queue.popleft()
+            block.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def path_weight(sys: ExpSystem, path: SignedPath, z: tuple[int, ...]) -> int:
+    """Signed sum of coefficient-vector dot products along the path."""
+    total = 0
+    for idx, sign in path.steps:
+        e = sys.edges[idx - 1]
+        total += sign * sum(c * zz for c, zz in zip(e.coeffs, z))
+    return total
 
 
 def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
     """Raw tower levels with one forest path per vertex, from its component's
     smallest vertex: the quadratic construction that path_sums replaces."""
     forest = spanning_forest(sys)
-    reps = component_map(sys)
+    reps = {v: block[0] for block in reference_weak_components(sys) for v in block}
     return tuple(
         path_weight(sys, tree_path(sys, forest, reps[v], v), z)
         for v in range(1, sys.num_vertices + 1)
@@ -346,3 +386,64 @@ def json_trees():
         ),
         max_leaves=40,
     )
+
+
+# ---------------------------------------------------------------------------
+# small oracles with no caller in the package
+
+
+def single_equation_oracle(coeffs) -> bool:
+    """Independent oracle for one equation c . x = 0 with nonzero coefficients:
+    partition regular iff some nonempty subset of the coefficients sums to zero.
+    """
+    if any(c == 0 for c in coeffs):
+        raise ValueError("oracle requires nonzero coefficients")
+    for size in range(1, len(coeffs) + 1):
+        for combo in itertools.combinations(coeffs, size):
+            if sum(combo) == 0:
+                return True
+    return False
+
+
+def scale_row(m: IntMatrix, i: int, factor: int) -> IntMatrix:
+    """New matrix with row i (1-based) multiplied by factor."""
+    rows = [
+        tuple(factor * v for v in row) if r == i - 1 else row
+        for r, row in enumerate(m.entries)
+    ]
+    return IntMatrix(m.num_rows, m.num_cols, tuple(rows))
+
+
+def find_progression(table, length: int) -> tuple[int, int] | None:
+    """First (a, d) whose arithmetic progression of the given length is
+    monochromatic in the colour table over [1, len(table)].
+
+    Length 1 degenerates to the single element (1, 0).
+    """
+    if length < 1:
+        raise ValueError("length must be positive")
+    n = len(table)
+    if n == 0:
+        return None
+    if length == 1:
+        return (1, 0)
+    for a in range(1, n + 1):
+        for d in range(1, (n - a) // (length - 1) + 1):
+            first = table[a - 1]
+            if all(table[a - 1 + i * d] == first for i in range(1, length)):
+                return (a, d)
+    return None
+
+
+def weight(sys: ExpSystem, z: tuple[int, ...]) -> int:
+    """Coefficient mass times exponent mass: the tower-level budget of z."""
+    mass = sum(abs(c) for e in sys.edges for c in e.coeffs)
+    return mass * sum(z)
+
+
+def expand_pattern(xs: tuple[int, ...], budget: int, a: int, b: int) -> list[TowerValue]:
+    """The tuple a, b^(x_1), ..., b^(x_n), a^(b^1), ..., a^(b^budget)."""
+    values: list[TowerValue] = [Plain(a)]
+    values.extend(Plain(b**x) for x in xs)
+    values.extend(Tower(a, b, level) for level in range(1, budget + 1))
+    return values

@@ -11,21 +11,17 @@ from pathlib import Path
 
 
 from expreg.cli import build_decision_report
-from expreg.corpus import iter_systems, system_corpus
-from expreg.dsl import parse_system
+from expreg.corpus import iter_systems, run_experiment, system_corpus
+from expreg.dsl import parse_system, print_colouring
 from expreg.eqsys import ExpSystem, normalize
 from expreg.graphs import build_linear_system, fundamental_cycles, weak_components
-from expreg.rado import IntMatrix, is_partition_regular, single_equation_oracle
+from expreg.rado import IntMatrix, is_partition_regular
 from expreg.search import (
     PASS,
-    Mod,
     RadoPNu,
-    colour_of_tower,
     eval_exp,
-    find_progression,
     rado_number,
     search_exp,
-    search_witnesses,
     vdw_number,
 )
 from expreg.witness import (
@@ -37,7 +33,7 @@ from expreg.witness import (
     verify_witness,
 )
 
-from helpers import simple_cycle_rows, solves_in_span
+from helpers import find_progression, simple_cycle_rows, single_equation_oracle, solves_in_span
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,7 +56,7 @@ def test_criterion_01_pr_example():
     ok = ok and w["verified"] is True
     # direct bounded evaluation of the materialized witness
     sys, _ = normalize(parse_system((FIXTURES / "exp-pr.xps").read_text()))
-    lifted = lift(sys, (1, 1, 1, 1), 2, 2)
+    lifted = lift(build_linear_system(sys), (1, 1, 1, 1), 2, 2)
     xs = [tower_to_int(t, 10**6) for t in lifted.xs]
     ys = [tower_to_int(t, 10**6) for t in lifted.ys]
     ok = ok and None not in xs and None not in ys
@@ -181,8 +177,9 @@ def test_criterion_06_lift_soundness_corpus():
     cases = _lift_cases()
     failures = 0
     for sys, z in cases:
+        lin = build_linear_system(sys)
         for a, b in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            w = lift(sys, z, a, b)
+            w = lift(lin, z, a, b)
             if not verify_witness(sys, w):
                 failures += 1
             for e in sys.edges:
@@ -255,45 +252,12 @@ def test_criterion_09_factor_count_properties():
 
 def test_criterion_10_end_to_end_consistency():
     start = time.time()
-    hard_failures = 0
-    inconclusive = {Mod(2): 0, Mod(3): 0, RadoPNu(3): 0}
-    pr_count = npr_count = unverified = 0
-    for raw in system_corpus(100):
-        sys, _ = normalize(raw)
-        lin = build_linear_system(sys)
-        regular, _ = is_partition_regular(lin.matrix)
-        nvars = sys.num_vertices + sys.num_y
-        if regular:
-            pr_count += 1
-            for colouring in inconclusive:
-                w = search_witnesses(sys, colouring, z_bound=12)
-                if w is None:
-                    inconclusive[colouring] += 1
-                else:
-                    seen = {colour_of_tower(colouring, tv) for tv in w.xs + w.ys}
-                    if len(seen) != 1:
-                        hard_failures += 1
-        else:
-            npr_count += 1
-            # desk bounds scaled so a full scan stays around 10^5 assignments
-            pick_bound = {1: 40, 2: 40, 3: 20, 4: 10, 5: 7, 6: 6, 7: 5, 8: 4}[nvars]
-            recheck_bound = pick_bound + (1 if nvars >= 5 else 2)
-            chosen = None
-            for p in (2, 3, 5, 7, 11, 13):
-                if search_exp(sys, RadoPNu(p), pick_bound, 10**6).exhausted:
-                    chosen = p
-                    break
-            if chosen is None:
-                unverified += 1
-                continue
-            # the emitted colouring must stay empty at a larger desk bound
-            if search_exp(sys, RadoPNu(chosen), recheck_bound, 10**6).found:
-                hard_failures += 1
-    from expreg.dsl import print_colouring
-
-    rates = {print_colouring(c): f"{n}/{pr_count}" for c, n in inconclusive.items()}
+    result = run_experiment(100)
+    pr_count, npr_count = result["pr"], result["npr"]
+    hard_failures = result["hard_failures"]
+    rates = {print_colouring(c): f"{n}/{pr_count}" for c, n in result["inconclusive"].items()}
     detail = (
-        f"PR={pr_count} nonPR={npr_count} unverified={unverified} "
+        f"PR={pr_count} nonPR={npr_count} unverified={result['unverified']} "
         f"inconclusive={rates} hard_failures={hard_failures}"
     )
     _check(

@@ -156,6 +156,49 @@ class TestDecide:
         assert f"warning: tower levels shifted up by {k[0]} in the component of vertex 1" in out
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each `module.function` in every expreg namespace that holds it,
+    since modules import one another's functions by name."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in _sys.modules.items() if key.split(".")[0] == "expreg"]
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(_sys.modules[f"expreg.{module}"], attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+ONE_PASS = ("graphs.build_linear_system", "graphs.component_map", "eqsys.validate")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (FIXTURES / "exp-pr.xps").read_text(),
+        # a 2-cycle of parallel edges on {1, 2} and a reversed edge on {3, 4}
+        "system 4\neq X1 ^ Y1 = X2\neq X1 ^ Y2 = X2\neq X4 ^ Y3*Y4 = X3\n",
+    ],
+    ids=["exp-pr", "two-components"],
+)
+def test_decide_witness_analyses_the_system_once(run_cli, tmp_path, monkeypatch, text):
+    doc = tmp_path / "system.xps"
+    doc.write_text(text)
+    counts = _count_calls(monkeypatch, ONE_PASS)
+    code, out, _ = run_cli("decide", str(doc), "--witness", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["witness"]["verified"] is True
+    assert counts == dict.fromkeys(ONE_PASS, 1)
+
+
 class TestOtherCommands:
     def test_linearize(self, run_cli, fixture_path):
         code, out, _ = run_cli("linearize", fixture_path("exp-npr.xps"))

@@ -7,16 +7,22 @@ from expreg.graphs import (
     SignedPath,
     VerticesDisconnected,
     build_linear_system,
+    component_map,
     forest_walk,
     fundamental_cycles,
-    path_weight,
     spanning_forest,
     tree_path,
     weak_components,
 )
 from expreg.rado import in_span
 
-from helpers import rational_kernel, simple_cycle_rows, simple_paths
+from helpers import (
+    path_weight,
+    rational_kernel,
+    reference_weak_components,
+    simple_cycle_rows,
+    simple_paths,
+)
 
 
 def _sys(n, edges):
@@ -39,6 +45,17 @@ class TestWeakComponents:
     def test_direction_ignored(self):
         s = _sys(3, [(1, 2, _zero(3)), (3, 2, _zero(3))])
         assert weak_components(s) == [[1, 2, 3]]
+
+
+def test_components_match_breadth_first_search():
+    rng = random.Random(17)
+    for _ in range(150):
+        s = _random_multigraph(rng, 8, 10)
+        blocks = reference_weak_components(s)
+        assert weak_components(s) == blocks
+        reps = {v: block[0] for block in blocks for v in block}
+        assert component_map(forest_walk(s, spanning_forest(s))) == reps
+        assert build_linear_system(s).reps == reps
 
 
 class TestSpanningForest:
@@ -75,11 +92,12 @@ class TestFundamentalCycles:
 class TestForestWalk:
     def test_roots_at_smallest_vertex(self):
         s = _sys(4, [(2, 1, _zero(4)), (3, 2, _zero(4))])
-        assert forest_walk(s) == [(1, None), (2, (1, -1)), (3, (2, -1)), (4, None)]
+        walk = forest_walk(s, spanning_forest(s))
+        assert walk == [(1, None), (2, (1, -1)), (3, (2, -1)), (4, None)]
 
     def test_skips_chords_and_loops(self):
         s = _sys(3, [(1, 1, [1, 0, 0]), (1, 2, _zero(3)), (2, 3, _zero(3)), (3, 1, _zero(3))])
-        assert forest_walk(s) == [(1, None), (2, (2, 1)), (3, (3, 1))]
+        assert forest_walk(s, spanning_forest(s)) == [(1, None), (2, (2, 1)), (3, (3, 1))]
 
     def test_parent_precedes_child(self):
         rng = random.Random(5)
@@ -89,7 +107,7 @@ class TestForestWalk:
                 (rng.randint(1, n), rng.randint(1, n), _zero(n)) for _ in range(rng.randint(0, 10))
             ]
             s = _sys(n, edges)
-            walk = forest_walk(s)
+            walk = forest_walk(s, spanning_forest(s))
             assert sorted(v for v, _ in walk) == list(range(1, n + 1))
             placed = set()
             for v, step in walk:
@@ -100,7 +118,7 @@ class TestForestWalk:
                     assert child == v and parent in placed
                 placed.add(v)
             assert [v for v, step in walk if step is None] == [
-                block[0] for block in weak_components(s)
+                block[0] for block in reference_weak_components(s)
             ]
 
 

@@ -20,11 +20,10 @@ from expreg.rado import (
     is_partition_regular,
     rado_colour,
     rank,
-    single_equation_oracle,
 )
 from expreg.search import RadoP, search_lin
 
-from helpers import brute_columns_property
+from helpers import brute_columns_property, scale_row, single_equation_oracle
 
 
 class TestRank:
@@ -148,7 +147,7 @@ def test_oracle_agreement_small():
 )
 def test_row_scaling_invariance(rows, factor, which):
     m = IntMatrix.from_rows(rows)
-    scaled = m.scale_row(which % m.num_rows + 1, factor)
+    scaled = scale_row(m, which % m.num_rows + 1, factor)
     assert is_partition_regular(m)[0] == is_partition_regular(scaled)[0]
 
 

@@ -21,14 +21,10 @@ from expreg.search import (
     OmegaOf,
     RadoP,
     RadoPNu,
-    RestrictionUnsupported,
     Table,
-    colour_count,
     colour_of,
     colour_of_tower,
-    d_restrict,
     eval_exp,
-    find_progression,
     rado_number,
     search_exp,
     search_lin,
@@ -37,7 +33,7 @@ from expreg.search import (
 )
 from expreg.witness import Plain, Tower
 
-from helpers import FIXTURES, REPO_ROOT, reference_search_exp, systems_strategy
+from helpers import FIXTURES, REPO_ROOT, find_progression, reference_search_exp, systems_strategy
 
 
 class TestColourOf:
@@ -59,14 +55,6 @@ class TestColourOf:
         assert colour_of(t, 2) == 6
         assert colour_of(t, 4) == 9
 
-    def test_counts(self):
-        assert colour_count(Constant(3)) == 1
-        assert colour_count(Mod(4)) == 4
-        assert colour_count(RadoP(7)) == 6
-        assert colour_count(RadoPNu(2)) == 1
-        assert colour_count(OmegaOf(Mod(3))) == 3
-        assert colour_count(Table((1, 1, 2), default=0)) == 3
-
     def test_negative_colours_rejected(self):
         with pytest.raises(ValueError):
             Constant(-1)
@@ -76,9 +64,24 @@ class TestColourOf:
 
 class TestColourOfTower:
     def test_matches_materialized(self):
-        for tv in (Tower(2, 3, 2), Tower(3, 2, 3), Tower(5, 2, 1), Plain(729)):
+        # Tower(2^d, 2, x) is 2^(d * 2^x), whose colour only the factor count
+        # d * 2^x or modular exponentiation can reach once x grows
+        doubly = [Tower(2**d, 2, x) for d in (1, 2, 3) for x in (1, 2, 3, 4)]
+        specs = (
+            Mod(2),
+            Mod(3),
+            Mod(5),
+            Mod(7),
+            RadoP(3),
+            RadoP(5),
+            RadoPNu(3),
+            OmegaOf(Mod(3)),
+            OmegaOf(Mod(4)),
+            Table((9, 8, 7, 6), default=5),
+        )
+        for tv in [Tower(2, 3, 2), Tower(3, 2, 3), Tower(5, 2, 1), Plain(729)] + doubly:
             value = tv.value if isinstance(tv, Plain) else tv.base ** (tv.expbase**tv.level)
-            for spec in (Mod(2), Mod(3), Mod(7), RadoP(3), RadoP(5), RadoPNu(3), OmegaOf(Mod(4))):
+            for spec in specs:
                 assert colour_of_tower(spec, tv) == colour_of(spec, value), (tv, spec)
 
     def test_pure_prime_power_base(self):
@@ -263,37 +266,6 @@ class TestProgressions:
 
     def test_vdw_one_colour(self):
         assert vdw_number(1, 4, 10) == 4
-
-
-class TestDRestrict:
-    def test_radop_nu(self):
-        assert d_restrict(RadoPNu(3), 1, 1) == 2
-        assert d_restrict(RadoPNu(3), 3, 2) == 1
-
-    def test_mod2_always_zero(self):
-        for d in (1, 2, 7):
-            for x in (1, 5, 40):
-                assert d_restrict(Mod(2), d, x) == 0
-
-    def test_table_out_of_range(self):
-        with pytest.raises(RestrictionUnsupported):
-            d_restrict(Table((1, 1, 1)), 2, 4)
-
-    def test_table_in_range(self):
-        assert d_restrict(Table((9, 8, 7, 6)), 1, 1) == 6  # value 4
-
-    def test_x_cap(self):
-        with pytest.raises(ValueError):
-            d_restrict(Mod(2), 1, 65)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([Mod(2), Mod(5), RadoP(3), RadoP(5), RadoPNu(3), OmegaOf(Mod(3))]),
-        st.integers(1, 3),
-        st.integers(1, 4),
-    )
-    def test_matches_direct_evaluation(self, spec, d, x):
-        assert d_restrict(spec, d, x) == colour_of(spec, 2 ** (d * 2**x))
 
 
 def test_search_witnesses_finds_monochromatic():

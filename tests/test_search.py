@@ -89,6 +89,31 @@ class TestColourOfTower:
         assert colour_of_tower(RadoP(3), Tower(9, 2, 10)) == 1
 
 
+class TestDRestrict:
+    # the colour of the doubly exponential tower Tower(2^d, 2, x) = 2^(d * 2^x)
+
+    def test_radop_nu(self):
+        assert colour_of_tower(RadoPNu(3), Tower(2, 2, 1)) == 2
+        assert colour_of_tower(RadoPNu(3), Tower(2**3, 2, 2)) == 1
+
+    def test_mod2_always_zero(self):
+        for d in (1, 2, 7):
+            for x in (1, 5, 40):
+                assert colour_of_tower(Mod(2), Tower(2**d, 2, x)) == 0
+
+    def test_table_in_range(self):
+        assert colour_of_tower(Table((9, 8, 7, 6)), Tower(2, 2, 1)) == 6  # value 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([Mod(2), Mod(5), RadoP(3), RadoP(5), RadoPNu(3), OmegaOf(Mod(3))]),
+        st.integers(1, 3),
+        st.integers(1, 4),
+    )
+    def test_matches_direct_evaluation(self, spec, d, x):
+        assert colour_of_tower(spec, Tower(2**d, 2, x)) == colour_of(spec, 2 ** (d * 2**x))
+
+
 class TestEvalExp:
     def test_tower_pair(self):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])

@@ -100,8 +100,6 @@ def build_decision_report(
     b: int = 2,
     prime: int | str = "auto",
     verify_bound: int = DEFAULT_VERIFY_BOUND,
-    ceiling: int = DEFAULT_CEILING,
-    witness_z_cap: int = DEFAULT_WITNESS_Z_CAP,
 ) -> dict:
     """Run the full decision pipeline on a system document.
 
@@ -157,15 +155,15 @@ def build_decision_report(
         if want_witness:
             z = None
             bound = 4
-            while bound <= witness_z_cap:
+            while bound <= DEFAULT_WITNESS_Z_CAP:
                 z = find_positive_solution(lin.matrix, bound)
                 if z is not None:
                     break
                 bound *= 2
             if z is None:
                 warnings.append(
-                    f"no positive solution of the linear system within bound {witness_z_cap};"
-                    " witness omitted"
+                    "no positive solution of the linear system within bound"
+                    f" {DEFAULT_WITNESS_Z_CAP}; witness omitted"
                 )
             else:
                 w = lift(lin, z, a, b)
@@ -175,7 +173,7 @@ def build_decision_report(
         report["verdict"] = "not PR"
         for p in candidates:
             colouring = search.RadoPNu(p)
-            outcome = search.search_exp(nsys, colouring, verify_bound, ceiling)
+            outcome = search.search_exp(nsys, colouring, verify_bound, DEFAULT_CEILING)
             if outcome.exhausted:
                 report["certificate"] = {
                     "type": "forbidding-colouring",
@@ -183,7 +181,7 @@ def build_decision_report(
                     "prime": p,
                     "verification": {
                         "var_bound": verify_bound,
-                        "ceiling": ceiling,
+                        "ceiling": DEFAULT_CEILING,
                         "skipped": outcome.skipped,
                         "outcome": "exhausted-no-solution",
                     },

@@ -17,6 +17,10 @@ from .rado import is_partition_regular
 from .search import Mod, RadoPNu, colour_of_tower, search_exp, search_witnesses
 
 DEFAULT_SEED = 271828
+# shape of a random system: vertex count, edge count, coefficient range
+MAX_N = 4
+MAX_EDGES = 5
+COEFF_BOUND = 2
 
 # colourings a PR system's lifted witnesses are asked to be monochromatic under
 PANEL = (Mod(2), Mod(3), RadoPNu(3))
@@ -25,35 +29,23 @@ PANEL = (Mod(2), Mod(3), RadoPNu(3))
 PICK_BOUNDS = {1: 40, 2: 40, 3: 20, 4: 10, 5: 7, 6: 6, 7: 5, 8: 4}
 
 
-def random_system(
-    rng: random.Random,
-    max_n: int = 4,
-    max_edges: int = 5,
-    coeff_bound: int = 2,
-) -> ExpSystem:
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_edges)
+def random_system(rng: random.Random) -> ExpSystem:
+    n = rng.randint(1, MAX_N)
+    m = rng.randint(1, MAX_EDGES)
     edges = tuple(
         Edge(
             rng.randint(1, n),
             rng.randint(1, n),
-            tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(n)),
+            tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n)),
         )
         for _ in range(m)
     )
     return ExpSystem(n, n, edges)
 
 
-def system_corpus(count: int, seed: int = DEFAULT_SEED, **kwargs) -> list[ExpSystem]:
+def system_corpus(count: int, seed: int = DEFAULT_SEED) -> list[ExpSystem]:
     rng = random.Random(seed)
-    return [random_system(rng, **kwargs) for _ in range(count)]
-
-
-def iter_systems(seed: int = DEFAULT_SEED, **kwargs):
-    """Endless seeded stream, for callers that filter down to a target count."""
-    rng = random.Random(seed)
-    while True:
-        yield random_system(rng, **kwargs)
+    return [random_system(rng) for _ in range(count)]
 
 
 def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12) -> dict:

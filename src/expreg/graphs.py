@@ -172,13 +172,11 @@ def tree_path(sys: ExpSystem, forest: tuple[int, ...], start: int, end: int) -> 
     return SignedPath(tuple(steps), start, end)
 
 
-def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...] | None = None) -> list[SignedCycle]:
+def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...]) -> list[SignedCycle]:
     """One cycle per non-forest edge: the edge forward, then the forest path back.
 
     Loops become singleton cycles.
     """
-    if forest is None:
-        forest = spanning_forest(sys)
     in_forest = set(forest)
     cycles = []
     for idx, e in enumerate(sys.edges, start=1):

@@ -49,13 +49,11 @@ class IntMatrix:
                 raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], num_cols: int | None = None) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         rows = tuple(tuple(int(v) for v in r) for r in rows)
-        if num_cols is None:
-            if not rows:
-                raise ValueError("num_cols required for a matrix with no rows")
-            num_cols = len(rows[0])
-        return cls(len(rows), num_cols, rows)
+        if not rows:
+            raise ValueError("from_rows needs at least one row")
+        return cls(len(rows), len(rows[0]), rows)
 
     def column(self, j: int) -> tuple[int, ...]:
         """Column j, 1-based."""
@@ -65,19 +63,12 @@ class IntMatrix:
         return [self.column(j) for j in range(1, self.num_cols + 1)]
 
 
-
 class _Span:
     """Incrementally built row-echelon basis for a rational span."""
 
     def __init__(self) -> None:
         self.rows: list[tuple[Fraction, ...]] = []  # each normalized to leading 1
         self.pivots: list[int] = []
-
-    def copy(self) -> "_Span":
-        s = _Span()
-        s.rows = list(self.rows)
-        s.pivots = list(self.pivots)
-        return s
 
     def _residual(self, vec: Sequence[int | Fraction]) -> list[Fraction]:
         v = [Fraction(x) for x in vec]
@@ -90,42 +81,14 @@ class _Span:
     def contains(self, vec: Sequence[int | Fraction]) -> bool:
         return not any(self._residual(vec))
 
-    def add(self, vec: Sequence[int | Fraction]) -> bool:
-        """Insert vec; returns True if it enlarged the span."""
+    def add(self, vec: Sequence[int | Fraction]) -> None:
         v = self._residual(vec)
         for pivot, x in enumerate(v):
             if x:
                 inv = 1 / x
                 self.rows.append(tuple(a * inv for a in v))
                 self.pivots.append(pivot)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def rank(m: IntMatrix) -> int:
-    """Rational rank, by exact elimination."""
-    span = _Span()
-    for row in m.entries:
-        span.add(row)
-    return span.rank
-
-
-def in_span(vectors: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """True iff target is a rational linear combination of the given vectors.
-
-    The empty list spans only the zero vector.
-    """
-    dim = len(target)
-    span = _Span()
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatch(f"vector of length {len(v)} against target of length {dim}")
-        span.add(v)
-    return span.contains(target)
+                return
 
 
 @dataclass(frozen=True)
@@ -192,9 +155,7 @@ def _ordered_subsets(items: Sequence[int]) -> Iterator[list[int]]:
         yield [items[i] for i in range(r) if mask & (1 << (r - 1 - i))]
 
 
-def columns_property(
-    m: IntMatrix, max_cols: int = DEFAULT_COLUMN_BUDGET
-) -> ColumnsPartition | None:
+def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     """Find an ordered column partition witnessing Rado's criterion, or None.
 
     Deterministic: returns the first valid partition under lexicographic
@@ -202,58 +163,54 @@ def columns_property(
     decided first).  A matrix with no rows has all-zero columns in Q^0, so
     the single block S_0 = all columns always works there.
 
-    Raises ColumnBudgetExceeded when the column count is above max_cols;
-    the search is exponential in the number of columns.  A matrix with no
-    rows never searches (S_0 = everything is immediate), so the budget does
-    not apply there.
+    Each level takes the first admissible block in `_ordered_subsets` order
+    and never undoes it.  Exchange lemma: if a valid partition T_0, ..., T_d
+    of the remaining columns exists and B is admissible at this level, then
+    B, T_0 - B, ..., T_d - B (empty blocks dropped) is valid too, because
+    the sum over T_i - B differs from the sum over T_i by columns of B,
+    which are in the span from then on.  So the first admissible block never
+    needs undoing, a level with none means no partition exists, and the
+    result is the one a backtracking search would return.
+
+    Raises ColumnBudgetExceeded when the column count is above
+    DEFAULT_COLUMN_BUDGET; the subsets tried per level are exponential in
+    the number of columns.  A matrix with no rows never searches (S_0 =
+    everything is immediate), so the budget does not apply there.
     """
     if m.num_rows == 0:
         return ColumnsPartition((tuple(range(1, m.num_cols + 1)),))
-    if m.num_cols > max_cols:
+    if m.num_cols > DEFAULT_COLUMN_BUDGET:
         raise ColumnBudgetExceeded(
-            f"{m.num_cols} columns exceeds the search budget of {max_cols}"
+            f"{m.num_cols} columns exceeds the search budget of {DEFAULT_COLUMN_BUDGET}"
         )
     cols = m.columns()
-
-    def extend(remaining: list[int], blocks: list[tuple[int, ...]], span: _Span):
-        if not remaining:
-            return tuple(blocks)
+    remaining = list(range(1, m.num_cols + 1))
+    blocks: list[tuple[int, ...]] = []
+    span = _Span()
+    while remaining:
         for block in _ordered_subsets(remaining):
             s = _vector_sum(cols[j - 1] for j in block)
-            if not blocks:
-                if any(s):
-                    continue
-            elif not span.contains(s):
-                continue
-            wider = span.copy()
-            for j in block:
-                wider.add(cols[j - 1])
-            chosen = set(block)
-            result = extend(
-                [j for j in remaining if j not in chosen], blocks + [tuple(block)], wider
-            )
-            if result is not None:
-                return result
-        return None
-
-    found = extend(list(range(1, m.num_cols + 1)), [], _Span())
-    if found is None:
-        return None
-    part = ColumnsPartition(found)
+            if (span.contains(s) if blocks else not any(s)):
+                break
+        else:
+            return None
+        blocks.append(tuple(block))
+        for j in block:
+            span.add(cols[j - 1])
+        remaining = [j for j in remaining if j not in block]
+    part = ColumnsPartition(tuple(blocks))
     problems = check_columns_partition(m, part)
     if problems:
-        raise SelfCheckFailed(f"unsound partition {found}: {problems}")
+        raise SelfCheckFailed(f"unsound partition {part.blocks}: {problems}")
     return part
 
 
-def is_partition_regular(
-    m: IntMatrix, max_cols: int = DEFAULT_COLUMN_BUDGET
-) -> tuple[bool, ColumnsPartition | None]:
+def is_partition_regular(m: IntMatrix) -> tuple[bool, ColumnsPartition | None]:
     """Rado's theorem: partition regular iff the columns property holds.
 
     The certificate (the partition, or None) comes along with the verdict.
     """
-    part = columns_property(m, max_cols=max_cols)
+    part = columns_property(m)
     return part is not None, part
 
 

@@ -2,7 +2,8 @@
 
 Everything here re-derives results through a different code path than the
 package: the brute-force partition search enumerates label vectors, the
-span test solves an augmented system, and simple cycles come from subset
+backtracking columns-property search is the one the greedy loop replaced,
+the span test solves an augmented system, and simple cycles come from subset
 enumeration, components from their own breadth-first search, and report
 text comes from the standard json encoder.  Keeping these separate is the
 point.  The small oracles near the end (single equations, progressions,
@@ -14,15 +15,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+from expreg.corpus import DEFAULT_SEED, random_system
 from expreg.eqsys import Edge, ExpSystem
 from expreg.graphs import SignedPath, spanning_forest, tree_path
-from expreg.rado import IntMatrix
+from expreg.rado import IntMatrix, _ordered_subsets
 from expreg.search import (
     CEILING,
     FAIL,
@@ -138,6 +141,35 @@ def _partition_valid(cols, blocks) -> bool:
 def _block_sum(cols, block):
     dim = len(cols[0])
     return tuple(sum(cols[j - 1][i] for j in block) for i in range(dim))
+
+
+def reference_columns_property(matrix: IntMatrix):
+    """The backtracking search that columns_property replaced: each
+    admissible block in `_ordered_subsets` order, undone when the remaining
+    columns cannot be partitioned after it.  Returns the blocks or None.
+    The span of the earlier columns is tested with solves_in_span."""
+    cols = matrix.columns()
+
+    def extend(remaining: list[int], blocks: list[tuple[int, ...]], earlier: list):
+        if not remaining:
+            return tuple(blocks)
+        for block in _ordered_subsets(remaining):
+            s = _block_sum(cols, block)
+            if not blocks:
+                if any(s):
+                    continue
+            elif not solves_in_span(earlier, s):
+                continue
+            wider = earlier + [cols[j - 1] for j in block]
+            chosen = set(block)
+            result = extend(
+                [j for j in remaining if j not in chosen], blocks + [tuple(block)], wider
+            )
+            if result is not None:
+                return result
+        return None
+
+    return extend(list(range(1, matrix.num_cols + 1)), [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +343,14 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
 
 
 # ---------------------------------------------------------------------------
-# hypothesis strategies
+# random systems and hypothesis strategies
+
+
+def iter_systems(seed: int = DEFAULT_SEED):
+    """Endless seeded stream, for callers that filter down to a target count."""
+    rng = random.Random(seed)
+    while True:
+        yield random_system(rng)
 
 
 def edges_strategy(n: int, coeff: int, allow_zero=True):

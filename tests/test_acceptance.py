@@ -11,10 +11,15 @@ from pathlib import Path
 
 
 from expreg.cli import build_decision_report
-from expreg.corpus import iter_systems, run_experiment, system_corpus
+from expreg.corpus import run_experiment, system_corpus
 from expreg.dsl import parse_system, print_colouring
 from expreg.eqsys import ExpSystem, normalize
-from expreg.graphs import build_linear_system, fundamental_cycles, weak_components
+from expreg.graphs import (
+    build_linear_system,
+    fundamental_cycles,
+    spanning_forest,
+    weak_components,
+)
 from expreg.rado import IntMatrix, is_partition_regular
 from expreg.search import (
     PASS,
@@ -33,7 +38,13 @@ from expreg.witness import (
     verify_witness,
 )
 
-from helpers import find_progression, simple_cycle_rows, single_equation_oracle, solves_in_span
+from helpers import (
+    find_progression,
+    iter_systems,
+    simple_cycle_rows,
+    single_equation_oracle,
+    solves_in_span,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -220,7 +231,7 @@ def test_criterion_08_cycle_space():
                 for _ in range(m)
             ],
         )
-        basis = fundamental_cycles(sys)
+        basis = fundamental_cycles(sys, spanning_forest(sys))
         expected = len(sys.edges) - sys.num_vertices + len(weak_components(sys))
         if len(basis) != expected:
             bad += 1

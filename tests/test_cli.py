@@ -58,6 +58,14 @@ class TestDecide:
         assert code == 2
         assert "out of range" in err
 
+    def test_column_budget_exit_code(self, run_cli, tmp_path):
+        # one cycle row over 13 Y-columns is over the search budget
+        wide = tmp_path / "wide.xps"
+        wide.write_text("system 13\neq X1 ^ Y1 = X2\neq X1 ^ Y2 = X2\n")
+        code, _, err = run_cli("decide", str(wide))
+        assert code == 2
+        assert "13 columns exceeds the search budget of 12" in err
+
     def test_edgeless_system_is_trivially_pr(self, run_cli, tmp_path):
         doc = tmp_path / "empty.xps"
         doc.write_text("system 2\n")

@@ -10,47 +10,35 @@ import expreg.witness
 from expreg.rado import (
     ColumnBudgetExceeded,
     ColumnsPartition,
-    DimensionMismatch,
     IntMatrix,
     NotPrime,
     SelfCheckFailed,
     check_columns_partition,
     columns_property,
-    in_span,
     is_partition_regular,
     rado_colour,
-    rank,
 )
 from expreg.search import RadoP, search_lin
 
-from helpers import brute_columns_property, scale_row, single_equation_oracle
-
-
-class TestRank:
-    def test_single_row(self):
-        assert rank(IntMatrix.from_rows([[1, 1, -1]])) == 1
-
-    def test_identity(self):
-        assert rank(IntMatrix.from_rows([[1, 0], [0, 1]])) == 2
-
-    def test_zero(self):
-        assert rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
+from helpers import (
+    brute_columns_property,
+    reference_columns_property,
+    scale_row,
+    single_equation_oracle,
+    solves_in_span,
+)
 
 
 class TestInSpan:
     def test_scaled_vector(self):
-        assert in_span([(1, -1)], (2, -2))
+        assert solves_in_span([(1, -1)], (2, -2))
 
     def test_empty_spans_zero(self):
-        assert in_span([], (0, 0))
-        assert not in_span([], (0, 1))
+        assert solves_in_span([], (0, 0))
+        assert not solves_in_span([], (0, 1))
 
     def test_independent(self):
-        assert not in_span([(1, 0)], (0, 1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            in_span([(1, 0, 0)], (0, 1))
+        assert not solves_in_span([(1, 0)], (0, 1))
 
 
 class TestColumnsProperty:
@@ -72,6 +60,11 @@ class TestColumnsProperty:
     def test_zero_row_matrix(self):
         part = columns_property(IntMatrix(0, 3, ()))
         assert part == ColumnsPartition(((1, 2, 3),))
+
+    def test_from_rows_needs_a_row(self):
+        # with no rows there is no row to read the column count from
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([])
 
     def test_x_equals_y(self):
         regular, part = is_partition_regular(IntMatrix.from_rows([[1, -1]]))
@@ -104,14 +97,71 @@ class TestColumnsProperty:
         # same first-found partition as the label-vector oracle, including order
         rng = random.Random(17)
         for _ in range(120):
+            cols = rng.randint(1, 5)
             rows = [
-                [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
+                [rng.randint(-2, 2) for _ in range(cols)]
+                for _ in range(rng.randint(1, 3))
             ]
-            rows.append([rng.randint(-2, 2) for _ in rows[0]])
             m = IntMatrix.from_rows(rows)
             part = columns_property(m)
             brute = brute_columns_property(m)
             assert (part.blocks if part else None) == brute
+
+    def test_matches_backtracking_reference(self):
+        # the greedy loop returns the certificate the backtracking search finds
+        rng = random.Random(2016)
+        for _ in range(200):
+            cols = rng.randint(5, 7)
+            rows = [
+                [rng.randint(-2, 2) for _ in range(cols)]
+                for _ in range(rng.randint(1, 4))
+            ]
+            m = IntMatrix.from_rows(rows)
+            part = columns_property(m)
+            assert (part.blocks if part else None) == reference_columns_property(m), rows
+
+    # expected certificates computed once with reference_columns_property;
+    # the backtracking search takes seconds on both not-PR matrices
+    @pytest.mark.parametrize(
+        "rows, blocks",
+        [
+            (
+                [
+                    [0, 2, 0, 0, -1, 1, 0, 1, -2, 0],
+                    [-2, 1, 1, -2, 2, 0, -1, 1, 2, -2],
+                    [-2, 2, -2, 0, -2, 0, -2, -2, -1, 2],
+                ],
+                ((5, 6, 10), (1, 2, 9), (3, 4, 7, 8)),
+            ),
+            (
+                [
+                    [-2, 2, -2, 0, -2, 1, -2, 0, 2, 0, 2, -1],
+                    [2, 2, 1, -1, 0, 2, -1, 0, 1, -1, 0, 1],
+                    [0, 1, 0, 2, 0, -1, 2, 2, 0, 0, 0, 2],
+                ],
+                ((3, 10, 11), (1, 2, 5, 6, 9), (4, 7, 8, 12)),
+            ),
+            (
+                [
+                    [1, -1, 0, -1, -1, 0, -1, 1, 0, 0],
+                    [1, -1, 0, 1, -1, 1, 1, 1, 0, 0],
+                ],
+                None,
+            ),
+            (
+                [
+                    [0, 0, 1, -1, 1, -1, -1, 0, 1, -1, 0, -1],
+                    [0, 1, -1, 0, -1, -1, 1, 1, 1, 1, 0, 1],
+                    [-1, -1, 0, 0, 0, -1, 0, 0, -1, -1, 0, 0],
+                ],
+                None,
+            ),
+        ],
+        ids=["pr-10", "pr-12", "npr-10", "npr-12"],
+    )
+    def test_wide_matrix(self, rows, blocks):
+        part = columns_property(IntMatrix.from_rows(rows))
+        assert (part.blocks if part else None) == blocks
 
 
 class TestSingleEquationOracle:

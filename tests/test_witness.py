@@ -34,6 +34,7 @@ from helpers import (
     REPO_ROOT,
     expand_pattern,
     forests_strategy,
+    iter_systems,
     rational_kernel,
     systems_strategy,
     tree_path_sums,
@@ -256,8 +257,6 @@ class TestNuSquaredReduce:
 
 
 def _lift_corpus(count=100, bound=20):
-    from expreg.corpus import iter_systems
-
     out = []
     for raw in iter_systems():
         sys, _ = normalize(raw)

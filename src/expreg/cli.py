@@ -104,8 +104,9 @@ def build_decision_report(
     """Run the full decision pipeline on a system document.
 
     Raises dsl.ParseError, CommandError (a `prime` that is neither "auto"
-    nor a prime), ColumnBudgetExceeded, or NoPrimeVerified; any of those
-    means exit code 2 for the CLI.  The parser range-checks every index and
+    nor a prime), ValueError (a `verify_bound` below 2, whatever the
+    verdict), ColumnBudgetExceeded, or NoPrimeVerified; any of those means
+    exit code 2 for the CLI.  The parser range-checks every index and
     reads exactly n coefficients per edge, so its systems are valid.
     """
     if prime == "auto":
@@ -118,6 +119,7 @@ def build_decision_report(
         if not is_prime(p):
             raise CommandError(f"--p must be prime, got {prime}")
         candidates = (p,)
+    search.check_var_bound(verify_bound)
     sys0 = dsl.parse_system(text)
     nsys, relabel = normalize(sys0)
     lin = build_linear_system(nsys)

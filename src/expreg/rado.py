@@ -7,9 +7,10 @@ is never acceptable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -145,16 +146,6 @@ def _vector_sum(vectors) -> tuple[int, ...]:
     return total
 
 
-def _ordered_subsets(items: Sequence[int]) -> Iterator[list[int]]:
-    # Nonempty subsets, ordered so that membership of earlier items dominates:
-    # the full set comes first and dropping a later item is preferred over
-    # dropping an earlier one.  This makes the block-by-block partition
-    # search agree with lexicographic order on column-label vectors.
-    r = len(items)
-    for mask in range((1 << r) - 1, 0, -1):
-        yield [items[i] for i in range(r) if mask & (1 << (r - 1 - i))]
-
-
 def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     """Find an ordered column partition witnessing Rado's criterion, or None.
 
@@ -163,14 +154,18 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     decided first).  A matrix with no rows has all-zero columns in Q^0, so
     the single block S_0 = all columns always works there.
 
-    Each level takes the first admissible block in `_ordered_subsets` order
-    and never undoes it.  Exchange lemma: if a valid partition T_0, ..., T_d
-    of the remaining columns exists and B is admissible at this level, then
-    B, T_0 - B, ..., T_d - B (empty blocks dropped) is valid too, because
-    the sum over T_i - B differs from the sum over T_i by columns of B,
-    which are in the span from then on.  So the first admissible block never
-    needs undoing, a level with none means no partition exists, and the
-    result is the one a backtracking search would return.
+    Each level tries the nonempty subsets of the r remaining columns by
+    decreasing mask, bit r-1-i standing for the i-th remaining column: the
+    full set first, and dropping a later column is preferred over dropping
+    an earlier one, which is lexicographic order on label vectors.  It
+    takes the first admissible block and never undoes it.  Exchange lemma:
+    if a valid partition T_0, ..., T_d of the remaining columns exists and
+    B is admissible at this level, then B, T_0 - B, ..., T_d - B (empty
+    blocks dropped) is valid too, because the sum over T_i - B differs from
+    the sum over T_i by columns of B, which are in the span from then on.
+    So the first admissible block never needs undoing, a level with none
+    means no partition exists, and the result is the one a backtracking
+    search would return.
 
     Raises ColumnBudgetExceeded when the column count is above
     DEFAULT_COLUMN_BUDGET; the subsets tried per level are exponential in
@@ -188,12 +183,27 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     blocks: list[tuple[int, ...]] = []
     span = _Span()
     while remaining:
-        for block in _ordered_subsets(remaining):
-            s = _vector_sum(cols[j - 1] for j in block)
-            if (span.contains(s) if blocks else not any(s)):
+        r = len(remaining)
+        full = (1 << r) - 1
+        bit_cols = [cols[remaining[r - 1 - b] - 1] for b in range(r)]
+        total = _vector_sum(bit_cols)
+        # The candidate for complement c is the block full ^ c, whose sum is
+        # total - comp[c].  The blocks run down from `full`, so c runs up
+        # from 0, and c with its lowest bit cleared is an earlier c: each
+        # comp[c] is one addition away from an entry already built.
+        comp = [(0,) * m.num_rows]
+        for c in range(full):
+            if c:
+                low = bit_cols[(c & -c).bit_length() - 1]
+                comp.append(tuple(map(operator.add, comp[c & (c - 1)], low)))
+            if blocks:
+                if span.contains(tuple(map(operator.sub, total, comp[c]))):
+                    break
+            elif comp[c] == total:
                 break
         else:
             return None
+        block = [j for i, j in enumerate(remaining) if not c >> (r - 1 - i) & 1]
         blocks.append(tuple(block))
         for j in block:
             span.add(cols[j - 1])

@@ -271,6 +271,13 @@ def _colour_classes(spec: ColouringSpec, low: int, high: int) -> dict[int, list[
     return classes
 
 
+def check_var_bound(var_bound: int) -> None:
+    """Reject a variable bound that leaves [2, var_bound] empty, where an
+    exhausted search would prove nothing."""
+    if var_bound < 2:
+        raise ValueError(f"variable bound {var_bound} leaves no values in [2, {var_bound}]")
+
+
 def search_exp(
     sys: ExpSystem, colouring: ColouringSpec, var_bound: int, ceiling: int
 ) -> SearchReport:
@@ -283,10 +290,12 @@ def search_exp(
     stopping at the winner: `skipped` counts the tuples before it (all of
     them, when there is none) on which no edge fails and some edge hits
     the ceiling.  Those tuples are counted per class, not enumerated; see
-    `_ClassLattice`.
+    `_ClassLattice`.  A var_bound or ceiling below 2 is a ValueError: every
+    value is at least 2, so the search would be vacuous.
     """
-    if var_bound < 2:
-        raise ValueError(f"variable bound {var_bound} leaves no values in [2, {var_bound}]")
+    check_var_bound(var_bound)
+    if ceiling < 2:
+        raise ValueError(f"ceiling {ceiling} is below 2, so every candidate would exceed it")
     classes = _colour_classes(colouring, 2, var_bound)
     nx = sys.num_vertices
     best: tuple[int, ...] | None = None

@@ -19,13 +19,14 @@ import random
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
 from expreg.corpus import DEFAULT_SEED, random_system
 from expreg.eqsys import Edge, ExpSystem
 from expreg.graphs import SignedPath, spanning_forest, tree_path
-from expreg.rado import IntMatrix, _ordered_subsets
+from expreg.rado import IntMatrix
 from expreg.search import (
     CEILING,
     FAIL,
@@ -141,6 +142,16 @@ def _partition_valid(cols, blocks) -> bool:
 def _block_sum(cols, block):
     dim = len(cols[0])
     return tuple(sum(cols[j - 1][i] for j in block) for i in range(dim))
+
+
+def _ordered_subsets(items: Sequence[int]) -> Iterator[list[int]]:
+    # Nonempty subsets, ordered so that membership of earlier items dominates:
+    # the full set comes first and dropping a later item is preferred over
+    # dropping an earlier one.  This makes the block-by-block partition
+    # search agree with lexicographic order on column-label vectors.
+    r = len(items)
+    for mask in range((1 << r) - 1, 0, -1):
+        yield [items[i] for i in range(r) if mask & (1 << (r - 1 - i))]
 
 
 def reference_columns_property(matrix: IntMatrix):

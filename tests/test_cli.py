@@ -104,6 +104,16 @@ class TestDecide:
         assert out == ""
         assert err.startswith("error: variable bound 1")
 
+    @pytest.mark.parametrize("fixture", ["exp-pr.xps", "exp-npr.xps"])
+    def test_verify_bound_below_two_exits_2_whatever_the_verdict(
+        self, run_cli, fixture_path, fixture
+    ):
+        # a PR verdict never runs the verification search, so decide checks first
+        code, out, err = run_cli("decide", fixture_path(fixture), "--verify-bound", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: variable bound -3 leaves no values in [2, -3]\n"
+
     def test_internal_error_exits_2(self, run_cli, fixture_path, monkeypatch):
         # an escaped exception would exit 1, which reads as "not PR"
         def broken(*args, **kwargs):
@@ -270,6 +280,15 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: variable bound 1")
+
+    def test_search_rejects_a_ceiling_below_two(self, run_cli, fixture_path):
+        # every value is at least 2, so the search would skip every candidate
+        code, out, err = run_cli(
+            "search", fixture_path("exp-pr.xps"), "--colouring", "mod:2", "--ceiling", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: ceiling 0 is below 2, so every candidate would exceed it\n"
 
     def test_rado_number_command(self, run_cli, tmp_path):
         mat = tmp_path / "schur.mat"

@@ -116,6 +116,15 @@ class TestColumnsProperty:
                 [rng.randint(-2, 2) for _ in range(cols)]
                 for _ in range(rng.randint(1, 4))
             ]
+            # zero and repeated columns make block sums, complement sums and
+            # the zero-sum test of S_0 meet zero and equal values
+            for j in rng.sample(range(cols), rng.randint(0, 2)):
+                for row in rows:
+                    row[j] = 0
+            for j in rng.sample(range(cols), rng.randint(0, 2)):
+                k = rng.randrange(cols)
+                for row in rows:
+                    row[j] = row[k]
             m = IntMatrix.from_rows(rows)
             part = columns_property(m)
             assert (part.blocks if part else None) == reference_columns_property(m), rows

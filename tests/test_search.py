@@ -179,6 +179,14 @@ class TestSearchExp:
             with pytest.raises(ValueError):
                 search_exp(s, Constant(0), bound, 10**6)
 
+    def test_ceiling_below_two_rejected(self):
+        # every value is at least 2, so every candidate would be a ceiling skip
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        for ceiling in (1, 0, -5):
+            with pytest.raises(ValueError, match=f"ceiling {ceiling} is below 2"):
+                search_exp(s, Constant(0), 16, ceiling)
+        assert search_exp(s, Constant(0), 16, 2).exhausted
+
     def test_self_check_rejects_a_wrong_assignment(self, monkeypatch):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
         monkeypatch.setattr(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import sys as _sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -206,10 +207,11 @@ def _dump_json(doc) -> str:
     """The report text: exactly json.dumps(doc, indent=2, sort_keys=True) + "\n".
 
     json.dumps runs its pure-Python encoder whenever indent is set, one
-    call per value; report bodies are mostly long lists of ints
-    (coefficient rows, z and k), which this writes with one join each.
-    Accepts dicts with str keys, lists, str, int, bool and None, and raises
-    TypeError on anything else.
+    call per value.  Report bodies are mostly long, sparse lists of ints
+    (coefficient rows, z and k); this writes each nonzero entry on its own
+    and each run of zeros as one repeated string.  Accepts dicts with str
+    keys, lists, str, int, bool and None, and raises TypeError on anything
+    else.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -239,8 +241,15 @@ def _write_json(value, nl: str, out: list[str]) -> None:
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"report keys must be str, got {key!r}")
-            out.append(opener + _json_str(key) + ": ")
-            _write_json(value[key], inner, out)
+            item = value[key]
+            head = opener + _json_str(key) + ": "
+            if type(item) is str:
+                out.append(head + _json_str(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, inner, out)
             opener = "," + inner
         out.append(nl + "}")
     elif kind is list:
@@ -248,18 +257,32 @@ def _write_json(value, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        sep = "," + inner
         if set(map(type, value)) == {int}:
-            # bool is a subclass of int, but not of this exact type
-            out.append("[" + inner + ("," + inner).join(map(repr, value)) + nl + "]")
+            # bool is a subclass of int, but not of this exact type; the
+            # first entry's separator loses its comma
+            out.append("[" + _int_items(value, sep)[1:] + nl + "]")
             return
         opener = "[" + inner
         for item in value:
             out.append(opener)
             _write_json(item, inner, out)
-            opener = "," + inner
+            opener = sep
         out.append(nl + "]")
     else:
         raise TypeError(f"cannot write {kind.__name__} into a report")
+
+
+def _int_items(ints: list[int], sep: str) -> str:
+    """sep before every entry, each run of zeros as one repeated string."""
+    zero = sep + "0"
+    parts = []
+    last = -1
+    for i in itertools.compress(range(len(ints)), ints):
+        parts.append(zero * (i - last - 1) + sep + int.__repr__(ints[i]))
+        last = i
+    parts.append(zero * (len(ints) - 1 - last))
+    return "".join(parts)
 
 
 def _tower_text(doc: dict) -> str:
@@ -409,6 +432,9 @@ def _cmd_search(args) -> int:
 def _cmd_colouring(args) -> int:
     spec = dsl.parse_colouring(args.spec)
     colour = search.colour_of(spec, args.eval)
+    if colour == search.SENTINEL_COLOUR:
+        # factor-count colourings leave 1 uncoloured, and colours are >= 0
+        raise CommandError(f"colouring {args.spec} is undefined at {args.eval}")
     if args.json:
         _sys.stdout.write(
             _dump_json({"spec": args.spec, "x": args.eval, "colour": colour})

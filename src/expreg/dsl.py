@@ -27,19 +27,20 @@ class IndexOutOfRange(ParseError):
     pass
 
 
-_TOKEN = re.compile(r"[ \t]+|(?P<word>[A-Za-z][A-Za-z0-9-]*)|(?P<num>-?\d+)|(?P<sym>[\^*=:])")
+# every character of a line starts a token or is skipped as blank space;
+# one that starts none is `bad`, so one pass finds the first bad character
+_TOKEN = re.compile(
+    r"[ \t]*(?:(?P<word>[A-Za-z][A-Za-z0-9-]*)|(?P<num>-?\d+)|(?P<sym>[\^*=:])|(?P<bad>[^ \t]))"
+)
 
 
 def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, m.start(kind) + 1)
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
     return tokens
 
 
@@ -75,10 +76,11 @@ class _Cursor:
 
 def _var_index(cur: _Cursor, prefix: str, n: int) -> int:
     kind, text, col = cur.next("word", f"{prefix}-variable")
-    m = re.fullmatch(rf"{prefix}(\d+)", text)
-    if m is None:
+    # a word's characters are ASCII, so isdigit() is the regex \d here
+    digits = text[1:]
+    if text[0] != prefix or not digits.isdigit():
         raise ParseError(f"expected {prefix}-variable, found {text!r}", cur.lineno, col)
-    idx = int(m.group(1))
+    idx = int(digits)
     if not 1 <= idx <= n:
         raise IndexOutOfRange(f"{text} out of range 1..{n}", cur.lineno, col)
     return idx

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .eqsys import ExpSystem
@@ -529,29 +528,6 @@ class _Vertices:
             if i < nx:
                 pending[i] = self._mask(i)
         return None
-
-
-def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> SearchReport:
-    """First monochromatic z in [1, bound]^n with A z = 0, by exhaustion."""
-    classes = _colour_classes(colouring, 1, bound)
-    rows = matrix.entries
-    n = matrix.num_cols
-    best: tuple[int, ...] | None = None
-    for colour in sorted(classes):
-        values = classes[colour]
-        for z in itertools.product(values, repeat=n):
-            if best is not None and z >= best:
-                break
-            if _annihilates(rows, z):
-                best = z
-                break
-    if best is not None and any(sum(map(operator.mul, row, best)) for row in rows):
-        raise SelfCheckFailed(f"found vector {best} failed re-verification")
-    return SearchReport(1, bound, None, n, best, 0)
-
-
-def _annihilates(rows, z) -> bool:
-    return all(sum(c * v for c, v in zip(row, z)) == 0 for row in rows)
 
 
 def _solution_value_sets(matrix: IntMatrix, bound: int) -> list[tuple[int, ...]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 from .eqsys import Edge, ExpSystem
 from .graphs import LinearSystem, build_linear_system
@@ -181,7 +182,9 @@ def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     come from the analysis's walk of the spanning forest, each vertex adding
     its parent step's signed weight to its parent's sum: after the check,
     the cost is O(V + F * num_y) for F forest edges, where one path per
-    vertex would cost O(V * (V + E)).
+    vertex would cost O(V * (V + E)).  Each weight multiplies only the
+    step's nonzero coefficients; finding them is a scan in C, so the
+    Python-level work is per nonzero term.
     """
     sys = lin.system
     if len(z) != sys.num_y:
@@ -196,7 +199,9 @@ def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
         idx, sign = step
         e = sys.edges[idx - 1]
         parent = e.tail if sign > 0 else e.head
-        sums[v] = sums[parent] + sign * sum(map(operator.mul, e.coeffs, z))
+        coeffs = e.coeffs
+        weight = sum(map(operator.mul, compress(coeffs, coeffs), compress(z, coeffs)))
+        sums[v] = sums[parent] + sign * weight
     return tuple(sums[1:])
 
 
@@ -254,12 +259,15 @@ def verify_witness(sys: ExpSystem, w: Witness) -> bool:
     """Check every edge identity k_head - k_tail = coeffs . z, in exact integers.
 
     Equality of a^(b^u) with a^(b^v) for a, b >= 2 is equality of u and v,
-    so no tower is ever materialized.
+    so no tower is ever materialized.  Like path_sums, each dot product
+    runs over the nonzero coefficients only, but it indexes them itself.
     """
     if len(w.z) != sys.num_y or len(w.k) != sys.num_vertices:
         return False
+    z = w.z
     for e in sys.edges:
-        step = sum(map(operator.mul, e.coeffs, w.z))
+        coeffs = e.coeffs
+        step = sum([coeffs[j] * z[j] for j in compress(range(len(coeffs)), coeffs)])
         if w.k[e.tail - 1] + step != w.k[e.head - 1]:
             return False
     return True

@@ -4,10 +4,11 @@ Everything here re-derives results through a different code path than the
 package: the brute-force partition search enumerates label vectors, the
 backtracking columns-property search is the one the greedy loop replaced,
 the span test solves an augmented system, and simple cycles come from subset
-enumeration, components from their own breadth-first search, and report
-text comes from the standard json encoder.  Keeping these separate is the
-point.  The small oracles near the end (single equations, progressions,
-path and pattern helpers) have no caller in the package.
+enumeration, components from their own breadth-first search, linear
+solutions from a walk over every tuple, and report text comes from the
+standard json encoder.  Keeping these separate is the point.  The small
+oracles near the end (single equations, progressions, path and pattern
+helpers) have no caller in the package.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
@@ -26,11 +28,12 @@ from hypothesis import strategies as st
 from expreg.corpus import DEFAULT_SEED, random_system
 from expreg.eqsys import Edge, ExpSystem
 from expreg.graphs import SignedPath, spanning_forest, tree_path
-from expreg.rado import IntMatrix
+from expreg.rado import IntMatrix, SelfCheckFailed
 from expreg.search import (
     CEILING,
     FAIL,
     PASS,
+    ColouringSpec,
     SearchReport,
     _colour_classes,
     _edge_status,
@@ -354,6 +357,33 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
 
 
 # ---------------------------------------------------------------------------
+# exhaustive linear search
+
+
+def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> SearchReport:
+    """First monochromatic z in [1, bound]^n with A z = 0, by exhaustion."""
+    classes = _colour_classes(colouring, 1, bound)
+    rows = matrix.entries
+    n = matrix.num_cols
+    best: tuple[int, ...] | None = None
+    for colour in sorted(classes):
+        values = classes[colour]
+        for z in itertools.product(values, repeat=n):
+            if best is not None and z >= best:
+                break
+            if _annihilates(rows, z):
+                best = z
+                break
+    if best is not None and any(sum(map(operator.mul, row, best)) for row in rows):
+        raise SelfCheckFailed(f"found vector {best} failed re-verification")
+    return SearchReport(1, bound, None, n, best, 0)
+
+
+def _annihilates(rows, z) -> bool:
+    return all(sum(c * v for c, v in zip(row, z)) == 0 for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # random systems and hypothesis strategies
 
 
@@ -380,12 +410,14 @@ def systems_strategy(max_n: int = 4, max_edges: int = 5, coeff: int = 2):
     )
 
 
-def forests_strategy(max_n: int = 10, coeff: int = 3):
+def forests_strategy(max_n: int = 10, coeff: int = 3, max_nonzero: int | None = None):
     """Acyclic systems with several components, edges either way round and
     negative coefficients, so raw path sums go below zero.
 
     Vertices join in a random order; each one after the first may attach to
-    an earlier one or start a component of its own.
+    an earlier one or start a component of its own.  With `max_nonzero`,
+    each edge has 1 to max_nonzero nonzero coefficients at random places,
+    as the edges of the pr-deep benchmark systems do.
     """
 
     def build(n, order, links):
@@ -397,7 +429,16 @@ def forests_strategy(max_n: int = 10, coeff: int = 3):
         return ExpSystem(n, n, tuple(edges))
 
     def link(n):
-        coeffs = st.lists(st.integers(-coeff, coeff), min_size=n, max_size=n).map(tuple)
+        if max_nonzero is None:
+            coeffs = st.lists(st.integers(-coeff, coeff), min_size=n, max_size=n).map(tuple)
+        else:
+            nonzero = st.dictionaries(
+                st.integers(0, n - 1),
+                st.integers(-coeff, coeff).filter(bool),
+                min_size=1,
+                max_size=max_nonzero,
+            )
+            coeffs = nonzero.map(lambda d: tuple(d.get(j, 0) for j in range(n)))
         return st.tuples(st.booleans(), st.integers(0, n), st.booleans(), coeffs)
 
     return st.integers(1, max_n).flatmap(
@@ -419,10 +460,22 @@ def reference_dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def sparse_int_lists():
+    """Int lists that are mostly zeros, as report coefficient rows are: runs
+    of zeros (none, long, leading, trailing or the whole list) around
+    entries that may be huge negatives, zeros or bools."""
+    entry = st.one_of(st.integers(), st.integers(max_value=-(2**64)), st.booleans())
+    run = st.integers(0, 40)
+    return st.tuples(st.lists(st.tuples(run, entry), max_size=4), run).map(
+        lambda t: [x for zeros, v in t[0] for x in [0] * zeros + [v]] + [0] * t[1]
+    )
+
+
 def json_trees():
     """Trees of every type a report may hold: str-keyed dicts (digit keys
     included, which sort as strings), lists (int lists with bools mixed in
-    among them), str with any non-surrogate character, int, bool and None."""
+    among them, dense or mostly zeros), str with any non-surrogate
+    character, int, bool and None."""
     scalars = st.one_of(
         st.none(), st.booleans(), st.integers(), st.integers(max_value=-(2**64)), st.text()
     )
@@ -432,6 +485,7 @@ def json_trees():
         lambda children: st.one_of(
             st.lists(children, max_size=5),
             st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+            sparse_int_lists(),
             st.dictionaries(keys, children, max_size=5),
         ),
         max_leaves=40,

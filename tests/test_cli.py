@@ -244,6 +244,16 @@ class TestOtherCommands:
         code, out, _ = run_cli("colouring", "--spec", "radop-nu:3", "--eval", "64")
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize(
+        "spec,x", [("radop-nu:3", "1"), ("omega:mod:2", "1"), ("omega:omega:mod:2", "2")]
+    )
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_colouring_undefined_at_a_value_exits_2(self, run_cli, spec, x, fmt):
+        # the factor-count colourings leave 1 uncoloured; omega of a prime is 1
+        code, out, err = run_cli("colouring", "--spec", spec, "--eval", x, *fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: colouring {spec} is undefined at {x}\n"
+
     def test_witness_with_explicit_z(self, run_cli, fixture_path):
         code, out, _ = run_cli(
             "witness", fixture_path("exp-pr.xps"), "--z", "1,1,1,1", "--json"
@@ -308,6 +318,9 @@ class TestJsonWriter:
     @given(json_trees())
     @example({"10": [], "2": {}, "1": [[], {}, [{"": []}]]})
     @example([1, True, -(10**40), False, 0, None])
+    @example({"all zero": [0] * 30, "one": [0], "other one": [-7], "empty": []})
+    @example({"edges": [{"coeffs": [0] * 25 + [-2] + [0] * 40 + [1], "head": 3, "tail": 1}]})
+    @example([[5] + [0] * 50, [0, 0, -(2**70), 0, 0, -(10**40), 0], [0, False, 0, 0, True]])
     @example({"k\u00e9y": "\u00fc\x00\x1f\"\\\n\t\u2028\U0001f600", "\x7f": "/"})
     def test_matches_the_standard_encoder(self, doc):
         assert _dump_json(doc) == reference_dump_json(doc)

@@ -82,6 +82,27 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_system("system 1\neq X1 ^ Y1 = X1 X1\n")
 
+    @pytest.mark.parametrize(
+        "line,message,column",
+        [
+            ("eq X1 ^ Y1+ = X2", "unexpected character '+'", 11),
+            ("eq X1 ^ Y1 = X2;", "unexpected character ';'", 16),
+            ("eq X1 ^ Y1 = X2 ;  ", "unexpected character ';'", 17),
+            ("eq X1 ^ Y1^- = X2", "unexpected character '-'", 12),
+            ("eq Z1 ^ Y1 = X2", "expected X-variable, found 'Z1'", 4),
+            ("eq X ^ Y1 = X2", "expected X-variable, found 'X'", 4),
+            ("eq X1a ^ Y1 = X2", "expected X-variable, found 'X1a'", 4),
+            ("eq X1 ^ Y0 = X2", "Y0 out of range 1..2", 9),
+            ("eq X1 ^ Y1 = X03", "X03 out of range 1..2", 14),
+            ("eq X1 ^ Y1^", "expected exponent, found end of line", 12),
+            ("eq X1 ^ Y1^  ", "expected exponent, found end of line", 14),
+        ],
+    )
+    def test_error_position(self, line, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_system(f"system 2\n{line}\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+
 
 @settings(max_examples=500, deadline=None)
 @given(systems_strategy(max_n=5, max_edges=6, coeff=9))

@@ -18,12 +18,13 @@ from expreg.rado import (
     is_partition_regular,
     rado_colour,
 )
-from expreg.search import RadoP, search_lin
+from expreg.search import RadoP
 
 from helpers import (
     brute_columns_property,
     reference_columns_property,
     scale_row,
+    search_lin,
     single_equation_oracle,
     solves_in_span,
 )

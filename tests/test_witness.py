@@ -36,6 +36,7 @@ from helpers import (
     forests_strategy,
     iter_systems,
     rational_kernel,
+    search_lin,
     systems_strategy,
     tree_path_sums,
     weight,
@@ -133,6 +134,20 @@ class TestPathSums:
     def test_matches_per_vertex_paths_on_forests(self, s, data):
         z = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=s.num_y, max_size=s.num_y)))
         assert path_sums(build_linear_system(s), z) == tree_path_sums(s, z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forests_strategy(max_n=40, coeff=2, max_nonzero=3), st.data())
+    def test_matches_per_vertex_paths_on_sparse_forests(self, s, data):
+        # the pr-deep shape: 1-3 nonzero coefficients per edge, some negative
+        z = tuple(data.draw(st.lists(st.integers(1, 4), min_size=s.num_y, max_size=s.num_y)))
+        lin = build_linear_system(s)
+        assert path_sums(lin, z) == tree_path_sums(s, z)
+        w = lift(lin, z)
+        assert verify_witness(s, w)
+        if s.edges:
+            head = s.edges[0].head
+            k = tuple(v + (i == head - 1) for i, v in enumerate(w.k))
+            assert not verify_witness(s, dataclasses.replace(w, k=k))
 
     def test_rejects_non_solution(self):
         s = ExpSystem.square(2, [(1, 2, [1, 0]), (1, 2, [0, 1])])
@@ -299,7 +314,7 @@ def test_forbidding_soundness_desk_scale():
     # if the digit colouring forbids linear solutions up to the factor-count
     # budget, its composition with the factor count forbids exponential
     # solutions whose values stay below 2^budget
-    from expreg.search import search_exp, search_lin
+    from expreg.search import search_exp
 
     s = ExpSystem.square(2, [(1, 2, [2, 0]), (1, 2, [0, 1])])
     matrix = build_linear_system(s).matrix

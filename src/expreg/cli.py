@@ -20,13 +20,12 @@ from . import dsl, search
 from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
 from .rado import ColumnBudgetExceeded, NotPrime, columns_property, is_prime, rado_colour
+from .search import AUTO_PRIMES, DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
 REPORT_VERSION = 1
-DEFAULT_CEILING = 10**6
 DEFAULT_VERIFY_BOUND = 40
 DEFAULT_WITNESS_Z_CAP = 256
-AUTO_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class CommandError(RuntimeError):
@@ -382,14 +381,16 @@ def _cmd_decide(args) -> int:
     return 0 if report["verdict"] == "PR" else 1
 
 
+def _emit(args, doc: dict, text: str) -> int:
+    """Write the --json form of a result or its text form; exit code 0."""
+    _sys.stdout.write(_dump_json(doc) if args.json else text)
+    return 0
+
+
 def _cmd_linearize(args) -> int:
     nsys, _ = normalize(dsl.parse_system(_read(args.file)))
     lin = build_linear_system(nsys)
-    if args.json:
-        _sys.stdout.write(_dump_json(_linear_json(lin)))
-    else:
-        _sys.stdout.write(dsl.print_matrix(lin.matrix))
-    return 0
+    return _emit(args, _linear_json(lin), dsl.print_matrix(lin.matrix))
 
 
 def _cmd_witness(args) -> int:
@@ -405,84 +406,55 @@ def _cmd_witness(args) -> int:
         if z is None:
             raise CommandError(f"no positive solution within bound {args.z_bound}")
     w = lift(lin, z, args.a, args.b)
-    if args.json:
-        _sys.stdout.write(_dump_json(_witness_json(w)))
-    else:
-        _sys.stdout.write(
-            "a={} b={} z=({}) k=({}) verified=True\n".format(
-                w.a,
-                w.b,
-                ",".join(map(str, w.z)),
-                ",".join(map(str, w.k)),
-            )
-        )
-    return 0
+    z_text, k_text = ",".join(map(str, w.z)), ",".join(map(str, w.k))
+    text = f"a={w.a} b={w.b} z=({z_text}) k=({k_text}) verified=True\n"
+    return _emit(args, _witness_json(w), text)
 
 
 def _cmd_search(args) -> int:
     nsys, _ = normalize(dsl.parse_system(_read(args.file)))
     colouring = dsl.parse_colouring(args.colouring)
-    rep = search.search_exp(nsys, colouring, args.var_bound, args.ceiling)
-    _sys.stdout.write(
-        _dump_json(_search_report_json(rep)) if args.json else _render_search(rep)
-    )
-    return 0
+    try:
+        rep = search.search_exp(nsys, colouring, args.var_bound, args.ceiling)
+    except search.Uncoloured as exc:
+        raise CommandError(f"colouring {args.colouring} is undefined at {exc.value}")
+    return _emit(args, _search_report_json(rep), _render_search(rep))
 
 
 def _cmd_colouring(args) -> int:
     spec = dsl.parse_colouring(args.spec)
-    colour = search.colour_of(spec, args.eval)
-    if colour == search.SENTINEL_COLOUR:
-        # factor-count colourings leave 1 uncoloured, and colours are >= 0
+    try:
+        colour = search.colour_of(spec, args.eval)
+    except ValueError:
         raise CommandError(f"colouring {args.spec} is undefined at {args.eval}")
-    if args.json:
-        _sys.stdout.write(
-            _dump_json({"spec": args.spec, "x": args.eval, "colour": colour})
-        )
-    else:
-        print(colour)
-    return 0
+    return _emit(args, {"spec": args.spec, "x": args.eval, "colour": colour}, f"{colour}\n")
 
 
 def _cmd_nu(args) -> int:
     value = prime_omega(args.x)
-    if args.json:
-        _sys.stdout.write(_dump_json({"x": args.x, "omega": value}))
-    else:
-        print(value)
-    return 0
+    return _emit(args, {"x": args.x, "omega": value}, f"{value}\n")
 
 
 def _cmd_cp(args) -> int:
     colour = rado_colour(args.p, args.x)
-    if args.json:
-        _sys.stdout.write(_dump_json({"p": args.p, "x": args.x, "colour": colour}))
-    else:
-        print(colour)
-    return 0
+    return _emit(args, {"p": args.p, "x": args.x, "colour": colour}, f"{colour}\n")
+
+
+def _number_text(value: int | None, limit: int) -> str:
+    return f"{value}\n" if value is not None else f"exceeds {limit}\n"
 
 
 def _cmd_rado_number(args) -> int:
     matrix = dsl.parse_matrix(_read(args.file))
     value = search.rado_number(matrix, args.colours, args.max)
-    if args.json:
-        _sys.stdout.write(_dump_json({"colours": args.colours, "max": args.max, "value": value}))
-    else:
-        print(value if value is not None else f"exceeds {args.max}")
-    return 0
+    doc = {"colours": args.colours, "max": args.max, "value": value}
+    return _emit(args, doc, _number_text(value, args.max))
 
 
 def _cmd_vdw(args) -> int:
     value = search.vdw_number(args.colours, args.length, args.max)
-    if args.json:
-        _sys.stdout.write(
-            _dump_json(
-                {"colours": args.colours, "length": args.length, "max": args.max, "value": value}
-            )
-        )
-    else:
-        print(value if value is not None else f"exceeds {args.max}")
-    return 0
+    doc = {"colours": args.colours, "length": args.length, "max": args.max, "value": value}
+    return _emit(args, doc, _number_text(value, args.max))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,15 @@ from .dsl import print_colouring
 from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
 from .rado import is_partition_regular
-from .search import Mod, RadoPNu, colour_of_tower, search_exp, search_witnesses
+from .search import (
+    AUTO_PRIMES,
+    DEFAULT_CEILING,
+    Mod,
+    RadoPNu,
+    colour_of_tower,
+    search_exp,
+    search_witnesses,
+)
 
 DEFAULT_SEED = 271828
 # shape of a random system: vertex count, edge count, coefficient range
@@ -54,22 +62,24 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
     A PR system is asked for a lifted witness that is monochromatic under
     each PANEL colouring: none within the bounds is inconclusive, never a
     refutation, and one that is not monochromatic is a hard failure.  A
-    not-PR system takes the first listed prime whose radop-nu colouring is
-    verified empty at its PICK_BOUNDS bound; a solution for it at a larger
-    bound is a hard failure.  Returns the counts `pr`, `npr`, `unverified`,
-    `hard_failures` and `inconclusive` (PANEL spec -> count), and `notes`,
-    one line per unverified system or hard failure.
+    not-PR system takes the first of the AUTO_PRIMES, which `decide` tries
+    too, whose radop-nu colouring is verified empty at its PICK_BOUNDS
+    bound; a solution for it at a larger bound is a hard failure.  Each
+    system's linear side is built once.  Returns the counts `pr`, `npr`,
+    `unverified`, `hard_failures` and `inconclusive` (PANEL spec -> count),
+    and `notes`, one line per unverified system or hard failure.
     """
     out = {"pr": 0, "npr": 0, "unverified": 0, "hard_failures": 0, "notes": []}
     out["inconclusive"] = dict.fromkeys(PANEL, 0)
     for index, raw in enumerate(system_corpus(count, seed=seed), start=1):
         sys_, _ = normalize(raw)
-        regular, _ = is_partition_regular(build_linear_system(sys_).matrix)
+        lin = build_linear_system(sys_)
+        regular, _ = is_partition_regular(lin.matrix)
         nvars = sys_.num_vertices + sys_.num_y
         if regular:
             out["pr"] += 1
             for spec in PANEL:
-                w = search_witnesses(sys_, spec, z_bound=z_bound)
+                w = search_witnesses(lin, spec, z_bound=z_bound)
                 if w is None:
                     out["inconclusive"][spec] += 1
                 elif len({colour_of_tower(spec, tv) for tv in w.xs + w.ys}) != 1:
@@ -81,8 +91,8 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
             continue
         out["npr"] += 1
         pick = PICK_BOUNDS[min(nvars, 8)]
-        for chosen in (2, 3, 5, 7, 11, 13):
-            if search_exp(sys_, RadoPNu(chosen), pick, 10**6).exhausted:
+        for chosen in AUTO_PRIMES:
+            if search_exp(sys_, RadoPNu(chosen), pick, DEFAULT_CEILING).exhausted:
                 break
         else:
             out["unverified"] += 1
@@ -90,7 +100,7 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
             continue
         # the emitted colouring must stay empty at a larger desk bound
         recheck = pick + (1 if nvars >= 5 else 2)
-        if search_exp(sys_, RadoPNu(chosen), recheck, 10**6).found:
+        if search_exp(sys_, RadoPNu(chosen), recheck, DEFAULT_CEILING).found:
             out["hard_failures"] += 1
             out["notes"].append(
                 f"system {index}: emitted colouring radop-nu:{chosen} admitted a solution"

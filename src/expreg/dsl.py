@@ -3,7 +3,8 @@
 Two input levels coexist: equation sugar ("eq X1 ^ Y1*Y2 = X3") for humans
 and raw coefficient rows ("edge 1 3 : 1 1 0 0") for exact fixtures.  The
 printer is canonical: single spaces, LF, no trailing whitespace, comments
-dropped.
+dropped.  Colouring specs are spelled through one kind table, which the
+parser and the printer share.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 
 from . import search
 from .eqsys import Edge, ExpSystem
-from .rado import IntMatrix, NotPrime
+from .rado import IntMatrix
 
 
 class ParseError(ValueError):
@@ -215,35 +216,42 @@ def print_matrix(m: IntMatrix) -> str:
     return "".join(" ".join(str(v) for v in row) + "\n" for row in m.entries)
 
 
+# the spelling of each colouring kind: the parser reads it forwards, the
+# printer backwards
+_KINDS = {
+    "const": search.Constant,
+    "mod": search.Mod,
+    "radop": search.RadoP,
+    "radop-nu": search.RadoPNu,
+    "omega": search.OmegaOf,
+    "table": search.Table,
+}
+_KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
+
+
 def parse_colouring(text: str):
     """Colouring spec strings: const:C, mod:M, radop:P, radop-nu:P,
     omega:<spec>, table:<path>."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"expected 'kind:argument', found {text!r}", 1, 1)
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ParseError(f"unknown colouring kind {kind!r}", 1, 1)
     arg_col = len(kind) + 2
-    if kind == "omega":
-        return search.OmegaOf(parse_colouring(rest))
-    if kind == "table":
+    if cls is search.OmegaOf:
+        return cls(parse_colouring(rest))
+    if cls is search.Table:
         try:
             content = open(rest, encoding="utf-8").read()
         except OSError as exc:
             raise ParseError(f"cannot read table file: {exc}", 1, arg_col)
         return _parse_table(content)
-    if kind not in ("const", "mod", "radop", "radop-nu"):
-        raise ParseError(f"unknown colouring kind {kind!r}", 1, 1)
     if not re.fullmatch(r"-?\d+", rest):
         raise ParseError(f"expected integer argument, found {rest!r}", 1, arg_col)
-    value = int(rest)
     try:
-        if kind == "const":
-            return search.Constant(value)
-        if kind == "mod":
-            return search.Mod(value)
-        if kind == "radop":
-            return search.RadoP(value)
-        return search.RadoPNu(value)
-    except (ValueError, NotPrime) as exc:
+        return cls(int(rest))
+    except ValueError as exc:  # NotPrime included
         raise ParseError(str(exc), 1, arg_col)
 
 
@@ -267,17 +275,13 @@ def _parse_table(content: str):
 
 
 def print_colouring(spec) -> str:
-    if isinstance(spec, search.Constant):
-        return f"const:{spec.colour}"
-    if isinstance(spec, search.Mod):
-        return f"mod:{spec.modulus}"
-    if isinstance(spec, search.RadoP):
-        return f"radop:{spec.p}"
-    if isinstance(spec, search.RadoPNu):
-        return f"radop-nu:{spec.p}"
-    if isinstance(spec, search.OmegaOf):
-        return f"omega:{print_colouring(spec.base)}"
-    if isinstance(spec, search.Table):
+    """The spelling parse_colouring reads, except that a table prints its
+    colours instead of the file they came from."""
+    kind = _KIND_NAMES.get(type(spec))
+    if kind is None:
+        raise TypeError(f"not a colouring spec: {spec!r}")
+    if kind == "table":
         body = " ".join(str(c) for c in spec.colours)
         return f"table[default {spec.default}: {body}]"
-    raise TypeError(f"not a colouring spec: {spec!r}")
+    (arg,) = vars(spec).values()  # every other kind has one field
+    return f"{kind}:{print_colouring(arg) if kind == 'omega' else arg}"

@@ -1,5 +1,8 @@
 """Brute-force oracles: colouring evaluation and exhaustive searches.
 
+Colourings have one evaluator, `colour_of`, which colours a tower a^(b^k)
+in its exponents; a plain value is the tower at level 0.
+
 Everything here is exhaustive and honest.  Assignments whose intermediate
 values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
@@ -15,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .eqsys import ExpSystem
-from .graphs import build_linear_system
+from .graphs import LinearSystem
 from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, rado_colour
 from .witness import (
     Plain,
+    Tower,
     TowerValue,
     Witness,
     iter_positive_solutions,
@@ -26,10 +30,6 @@ from .witness import (
     prime_omega,
     tower_to_int,
 )
-
-
-# colour reserved for 1 under factor-count colourings; real colours are >= 0
-SENTINEL_COLOUR = -1
 
 
 # ---------------------------------------------------------------------------
@@ -100,55 +100,39 @@ class Table:
 ColouringSpec = Constant | Mod | RadoP | RadoPNu | OmegaOf | Table
 
 
-def colour_of(spec: ColouringSpec, x: int) -> int:
-    """Evaluate the colouring at a positive integer.
+def colour_of(spec: ColouringSpec, a: int, b: int = 1, k: int = 0) -> int:
+    """Colour of the tower a^(b^k); a plain value x is a = x, k = 0.
 
-    Factor-count colourings return the sentinel at x = 1, where the count
-    is undefined.
+    The colour is read in the exponents, so the tower is never built:
+    residues go through pow, the base-p digit of a^n is the digit of a to
+    the n-th power, and the factor count is n * prime_omega(a).  Raises
+    ValueError where the colouring is undefined: below 1, and at 1 under
+    a factor count (prime_omega's own error).
     """
-    if x < 1:
+    if a < 1:
         raise ValueError("colourings are defined on positive integers")
+    n = b**k
     if isinstance(spec, Constant):
         return spec.colour
     if isinstance(spec, Mod):
-        return x % spec.modulus
+        return pow(a, n, spec.modulus)
     if isinstance(spec, RadoP):
-        return rado_colour(spec.p, x)
+        return pow(rado_colour(spec.p, a), n, spec.p)
     if isinstance(spec, RadoPNu):
-        return SENTINEL_COLOUR if x == 1 else rado_colour(spec.p, prime_omega(x))
+        return rado_colour(spec.p, n * prime_omega(a))
     if isinstance(spec, OmegaOf):
-        return SENTINEL_COLOUR if x == 1 else colour_of(spec.base, prime_omega(x))
+        return colour_of(spec.base, n * prime_omega(a))
     if isinstance(spec, Table):
-        return spec.colours[x - 1] if x <= len(spec.colours) else spec.default
+        value = tower_to_int(Tower(a, b, k), len(spec.colours))
+        return spec.default if value is None else spec.colours[value - 1]
     raise TypeError(f"not a colouring spec: {spec!r}")
 
 
 def colour_of_tower(spec: ColouringSpec, tv: TowerValue) -> int:
-    """Colour of a (possibly astronomically large) tower, in the exponents."""
+    """colour_of on a witness value; a Plain value is level 0."""
     if isinstance(tv, Plain):
         return colour_of(spec, tv.value)
-    a, b, k = tv.base, tv.expbase, tv.level
-    if isinstance(spec, Constant):
-        return spec.colour
-    if isinstance(spec, Mod):
-        return pow(a, b**k, spec.modulus)
-    if isinstance(spec, RadoP):
-        p = spec.p
-        u = a
-        while u % p == 0:
-            u //= p
-        if u == 1:
-            return 1  # a pure power of p: the only nonzero digit is 1
-        return pow(u, b**k, p)
-    if isinstance(spec, (RadoPNu, OmegaOf)):
-        count = b**k * prime_omega(a)  # complete additivity of the factor count
-        if isinstance(spec, RadoPNu):
-            return rado_colour(spec.p, count)
-        return colour_of(spec.base, count)
-    if isinstance(spec, Table):
-        value = tower_to_int(tv, len(spec.colours)) if spec.colours else None
-        return spec.colours[value - 1] if value is not None else spec.default
-    raise TypeError(f"not a colouring spec: {spec!r}")
+    return colour_of(spec, tv.base, tv.expbase, tv.level)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +141,10 @@ def colour_of_tower(spec: ColouringSpec, tv: TowerValue) -> int:
 PASS = "pass"
 FAIL = "fail"
 CEILING = "ceiling"
+
+DEFAULT_CEILING = 10**6
+# primes whose radop-nu colouring `decide --p auto` tries, in order
+AUTO_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _bounded_pow(base: int, exp: int, ceiling: int) -> int | None:
@@ -260,12 +248,21 @@ class SearchReport:
         return self.assignment is None
 
 
+class Uncoloured(ValueError):
+    """A searched value where the colouring is undefined."""
+
+    def __init__(self, value: int) -> None:
+        super().__init__(f"colouring is undefined at {value}")
+        self.value = value
+
+
 def _colour_classes(spec: ColouringSpec, low: int, high: int) -> dict[int, list[int]]:
     classes: dict[int, list[int]] = {}
     for v in range(low, high + 1):
-        c = colour_of(spec, v)
-        if c == SENTINEL_COLOUR:
-            continue  # 1 is uncoloured under factor-count colourings
+        try:
+            c = colour_of(spec, v)
+        except ValueError:
+            raise Uncoloured(v) from None
         classes.setdefault(c, []).append(v)
     return classes
 
@@ -290,7 +287,9 @@ def search_exp(
     them, when there is none) on which no edge fails and some edge hits
     the ceiling.  Those tuples are counted per class, not enumerated; see
     `_ClassLattice`.  A var_bound or ceiling below 2 is a ValueError: every
-    value is at least 2, so the search would be vacuous.
+    value is at least 2, so the search would be vacuous.  A value in range
+    where the colouring is undefined raises Uncoloured: an exhausted report
+    must cover every value it names.
     """
     check_var_bound(var_bound)
     if ceiling < 2:
@@ -606,21 +605,19 @@ WITNESS_BASES = ((2, 2), (3, 3), (2, 3), (3, 2), (5, 5))
 MAX_WITNESS_SOLUTIONS = 200
 
 
-def search_witnesses(sys: ExpSystem, colouring: ColouringSpec, z_bound: int = 12) -> Witness | None:
+def search_witnesses(lin: LinearSystem, spec: ColouringSpec, z_bound: int = 12) -> Witness | None:
     """First lifted witness that is monochromatic under the given colouring.
 
     Scans the first MAX_WITNESS_SOLUTIONS solutions of the linear side in
     lexicographic order and the WITNESS_BASES pairs in order; colours of the
     tower values are evaluated in the exponents.  Returns None when nothing
     within the bounds is monochromatic (which never refutes anything:
-    existence is guaranteed, location is not).
+    existence is guaranteed, location is not).  A tower value where the
+    colouring is undefined is a ValueError, not a skip.
     """
-    lin = build_linear_system(sys)
     for z in itertools.islice(iter_positive_solutions(lin.matrix, z_bound), MAX_WITNESS_SOLUTIONS):
         for a, b in WITNESS_BASES:
             w = lift(lin, z, a, b)
-            seen = {colour_of_tower(colouring, tv) for tv in w.xs}
-            seen.update(colour_of_tower(colouring, tv) for tv in w.ys)
-            if len(seen) == 1 and SENTINEL_COLOUR not in seen:
+            if len({colour_of_tower(spec, tv) for tv in w.xs + w.ys}) == 1:
                 return w
     return None

@@ -5,8 +5,9 @@ package: the brute-force partition search enumerates label vectors, the
 backtracking columns-property search is the one the greedy loop replaced,
 the span test solves an augmented system, and simple cycles come from subset
 enumeration, components from their own breadth-first search, linear
-solutions from a walk over every tuple, and report text comes from the
-standard json encoder.  Keeping these separate is the point.  The small
+solutions from a walk over every tuple, colours from each kind's definition
+on the materialized integer, and report text comes from the standard json
+encoder.  Keeping these separate is the point.  The small
 oracles near the end (single equations, progressions, path and pattern
 helpers) have no caller in the package.
 """
@@ -34,7 +35,13 @@ from expreg.search import (
     FAIL,
     PASS,
     ColouringSpec,
+    Constant,
+    Mod,
+    OmegaOf,
+    RadoP,
+    RadoPNu,
     SearchReport,
+    Table,
     _colour_classes,
     _edge_status,
     eval_exp,
@@ -354,6 +361,45 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
         statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
         assert all(s == PASS for s in statuses), "found assignment failed re-verification"
     return SearchReport(2, var_bound, ceiling, nvars, best, skipped)
+
+
+# ---------------------------------------------------------------------------
+# colourings, by definition on materialized integers
+
+
+def factor_count(x: int) -> int:
+    """Prime factors of x >= 1 counted with multiplicity, by trial division."""
+    count, d = 0, 2
+    while d * d <= x:
+        while x % d == 0:
+            x //= d
+            count += 1
+        d += 1
+    return count + (x > 1)
+
+
+def reference_colour(spec: ColouringSpec, x: int) -> int:
+    """The colour of x straight from its kind's definition.  ValueError where
+    the colouring is undefined: below 1, and at 1 under a factor count,
+    whose value 0 has no colour."""
+    if x < 1:
+        raise ValueError(f"{x} is not a positive integer")
+    if isinstance(spec, Constant):
+        return spec.colour
+    if isinstance(spec, Mod):
+        return x % spec.modulus
+    if isinstance(spec, RadoP):
+        while x % spec.p == 0:
+            x //= spec.p
+        return x % spec.p
+    if isinstance(spec, (RadoPNu, OmegaOf)):
+        if x == 1:
+            raise ValueError("the factor count of 1 has no colour")
+        inner = RadoP(spec.p) if isinstance(spec, RadoPNu) else spec.base
+        return reference_colour(inner, factor_count(x))
+    if isinstance(spec, Table):
+        return spec.colours[x - 1] if x <= len(spec.colours) else spec.default
+    raise TypeError(f"not a colouring spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -245,14 +245,27 @@ class TestOtherCommands:
         assert (code, out) == (0, "2\n")
 
     @pytest.mark.parametrize(
-        "spec,x", [("radop-nu:3", "1"), ("omega:mod:2", "1"), ("omega:omega:mod:2", "2")]
+        "spec,x",
+        [("radop-nu:3", "1"), ("omega:mod:2", "1"), ("omega:omega:mod:2", "2"), ("mod:4", "0")],
     )
     @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
     def test_colouring_undefined_at_a_value_exits_2(self, run_cli, spec, x, fmt):
-        # the factor-count colourings leave 1 uncoloured; omega of a prime is 1
+        # the factor-count colourings leave 1 uncoloured, omega of a prime is 1,
+        # and no colouring is defined below 1
         code, out, err = run_cli("colouring", "--spec", spec, "--eval", x, *fmt)
         assert (code, out) == (2, "")
         assert err == f"error: colouring {spec} is undefined at {x}\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_search_over_uncoloured_values_exits_2(self, run_cli, fixture_path, fmt):
+        # omega:omega:mod:2 is undefined at every prime; the search must not
+        # report a range it did not colour
+        spec = "omega:omega:mod:2"
+        code, out, err = run_cli(
+            "search", fixture_path("exp-npr.xps"), "--colouring", spec, "--var-bound", "12", *fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: colouring {spec} is undefined at 2\n"
 
     def test_witness_with_explicit_z(self, run_cli, fixture_path):
         code, out, _ = run_cli(

@@ -173,5 +173,28 @@ class TestColouringSpecs:
         assert spec == Table((1, 2, 1), default=3)
 
     def test_print_round(self):
-        for text in ("mod:5", "radop:3", "radop-nu:13", "const:2", "omega:mod:4"):
+        texts = (
+            "const:2",
+            "mod:5",
+            "radop:3",
+            "radop-nu:3",
+            "radop-nu:13",
+            "omega:mod:4",
+            "omega:radop-nu:3",
+            "omega:omega:const:0",
+        )
+        for text in texts:
             assert print_colouring(parse_colouring(text)) == text
+
+    def test_print_table_file(self, tmp_path):
+        # a table prints its colours, not the file they came from
+        path = tmp_path / "colours.txt"
+        path.write_text("default 3\n1 2 1\n")
+        assert print_colouring(parse_colouring(f"table:{path}")) == "table[default 3: 1 2 1]"
+        assert print_colouring(parse_colouring(f"omega:table:{path}")) == (
+            "omega:table[default 3: 1 2 1]"
+        )
+
+    def test_print_rejects_other_values(self):
+        with pytest.raises(TypeError):
+            print_colouring(5)

@@ -9,19 +9,20 @@ from hypothesis import strategies as st
 import expreg.search
 from expreg.corpus import system_corpus
 from expreg.dsl import parse_system
+from expreg.graphs import build_linear_system
 from expreg.eqsys import ExpSystem, normalize
 from expreg.rado import IntMatrix, SelfCheckFailed
 from expreg.search import (
     CEILING,
     FAIL,
     PASS,
-    SENTINEL_COLOUR,
     Constant,
     Mod,
     OmegaOf,
     RadoP,
     RadoPNu,
     Table,
+    Uncoloured,
     colour_of,
     colour_of_tower,
     eval_exp,
@@ -37,6 +38,7 @@ from helpers import (
     FIXTURES,
     REPO_ROOT,
     find_progression,
+    reference_colour,
     reference_search_exp,
     search_lin,
     systems_strategy,
@@ -53,9 +55,11 @@ class TestColourOf:
     def test_radop_nu(self):
         assert colour_of(RadoPNu(3), 2**6) == 2
 
-    def test_sentinel_at_one(self):
-        assert colour_of(RadoPNu(3), 1) == SENTINEL_COLOUR
-        assert colour_of(OmegaOf(Mod(2)), 1) == SENTINEL_COLOUR
+    def test_undefined_at_one(self):
+        # the factor count of 1 is 0, which has no colour
+        for spec in (RadoPNu(3), OmegaOf(Mod(2))):
+            with pytest.raises(ValueError):
+                colour_of(spec, 1)
 
     def test_table_with_default(self):
         t = Table((5, 6, 7), default=9)
@@ -69,27 +73,80 @@ class TestColourOf:
             Table((0, -2))
 
 
+# every kind, a factor count over each kind, and one nested factor count
+EVERY_KIND = (
+    Constant(4),
+    Mod(2),
+    Mod(3),
+    Mod(5),
+    Mod(7),
+    RadoP(2),
+    RadoP(3),
+    RadoP(5),
+    RadoPNu(3),
+    Table((9, 8, 7, 6), default=5),
+    OmegaOf(Constant(1)),
+    OmegaOf(Mod(3)),
+    OmegaOf(Mod(4)),
+    OmegaOf(RadoP(3)),
+    OmegaOf(RadoPNu(2)),
+    OmegaOf(Table((3, 1, 2), default=4)),
+    OmegaOf(OmegaOf(Mod(3))),
+)
+
+
+def _materialize(tv) -> int:
+    return tv.value if isinstance(tv, Plain) else tv.base ** (tv.expbase**tv.level)
+
+
+def assert_matches_reference(spec, tv):
+    """colour_of_tower agrees with the definition on the materialized value,
+    raising ValueError exactly where the definition does."""
+    try:
+        expected = reference_colour(spec, _materialize(tv))
+    except ValueError:
+        with pytest.raises(ValueError):
+            colour_of_tower(spec, tv)
+    else:
+        assert colour_of_tower(spec, tv) == expected, (tv, spec)
+
+
 class TestColourOfTower:
     def test_matches_materialized(self):
         # Tower(2^d, 2, x) is 2^(d * 2^x), whose colour only the factor count
         # d * 2^x or modular exponentiation can reach once x grows
-        doubly = [Tower(2**d, 2, x) for d in (1, 2, 3) for x in (1, 2, 3, 4)]
-        specs = (
-            Mod(2),
-            Mod(3),
-            Mod(5),
-            Mod(7),
-            RadoP(3),
-            RadoP(5),
-            RadoPNu(3),
-            OmegaOf(Mod(3)),
-            OmegaOf(Mod(4)),
-            Table((9, 8, 7, 6), default=5),
-        )
-        for tv in [Tower(2, 3, 2), Tower(3, 2, 3), Tower(5, 2, 1), Plain(729)] + doubly:
-            value = tv.value if isinstance(tv, Plain) else tv.base ** (tv.expbase**tv.level)
-            for spec in specs:
-                assert colour_of_tower(spec, tv) == colour_of(spec, value), (tv, spec)
+        doubly = [Tower(2**d, 2, x) for d in (1, 2, 3) for x in (0, 1, 2, 3, 4)]
+        level0 = [Tower(a, 3, 0) for a in (1, 2, 3, 4, 6, 9, 12, 13)]
+        plain = [Plain(v) for v in (1, 2, 3, 4, 5, 8, 27, 729)]
+        towers = [Tower(2, 3, 2), Tower(3, 2, 3), Tower(5, 2, 1), Tower(12, 3, 2), Tower(1, 2, 3)]
+        for tv in towers + doubly + level0 + plain:
+            for spec in EVERY_KIND:
+                assert_matches_reference(spec, tv)
+
+    def test_plain_values_are_level_zero(self):
+        for spec in EVERY_KIND:
+            for x in range(1, 200):
+                assert_matches_reference(spec, Plain(x))
+                assert_matches_reference(spec, Tower(x, 2, 0))
+
+    def test_every_undefined_value_raises(self):
+        for spec in EVERY_KIND:
+            for x in (0, -1, -7):
+                with pytest.raises(ValueError):
+                    reference_colour(spec, x)
+                with pytest.raises(ValueError):
+                    colour_of(spec, x)
+        for spec in (RadoPNu(3), OmegaOf(Mod(2)), OmegaOf(Constant(0))):
+            with pytest.raises(ValueError):
+                colour_of(spec, 1)
+            with pytest.raises(ValueError):
+                colour_of_tower(spec, Tower(1, 2, 5))
+        # the inner factor count of a prime is 1
+        for prime in (2, 3, 5, 7, 11, 397):
+            with pytest.raises(ValueError):
+                colour_of(OmegaOf(OmegaOf(Mod(2))), prime)
+            with pytest.raises(ValueError):
+                colour_of_tower(OmegaOf(OmegaOf(Mod(2))), Tower(prime, 2, 0))
 
     def test_pure_prime_power_base(self):
         # 9^(2^10) has only the digit 1 in base 3
@@ -112,13 +169,9 @@ class TestDRestrict:
         assert colour_of_tower(Table((9, 8, 7, 6)), Tower(2, 2, 1)) == 6  # value 4
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([Mod(2), Mod(5), RadoP(3), RadoP(5), RadoPNu(3), OmegaOf(Mod(3))]),
-        st.integers(1, 3),
-        st.integers(1, 4),
-    )
+    @given(st.sampled_from(EVERY_KIND), st.integers(1, 3), st.integers(0, 4))
     def test_matches_direct_evaluation(self, spec, d, x):
-        assert colour_of_tower(spec, Tower(2**d, 2, x)) == colour_of(spec, 2 ** (d * 2**x))
+        assert_matches_reference(spec, Tower(2**d, 2, x))
 
 
 class TestEvalExp:
@@ -179,6 +232,14 @@ class TestSearchExp:
         report = search_exp(s, RadoPNu(3), 40, 10**6)
         assert report.exhausted
         assert report.skipped == 294831
+
+    def test_uncoloured_value_in_range_raises(self):
+        # omega:omega:mod:2 is undefined at every prime: their factor count is 1
+        s = parse_system((FIXTURES / "exp-npr.xps").read_text())
+        with pytest.raises(Uncoloured) as info:
+            search_exp(s, OmegaOf(OmegaOf(Mod(2))), 12, 10**6)
+        assert info.value.value == 2
+        assert search_exp(s, OmegaOf(Mod(2)), 12, 10**6).exhausted
 
     def test_empty_lattice_rejected(self):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
@@ -309,12 +370,19 @@ class TestProgressions:
 
 
 def test_search_witnesses_finds_monochromatic():
-    s = ExpSystem.square(2, [(1, 2, [1, 1])])
-    w = search_witnesses(s, Mod(2))
+    lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
+    w = search_witnesses(lin, Mod(2))
     assert w is not None
     assert w.a == w.b == 2
-    w3 = search_witnesses(s, Mod(3))
+    w3 = search_witnesses(lin, Mod(3))
     assert w3 is not None
+
+
+def test_search_witnesses_raises_on_uncoloured_towers():
+    # the factor count of 2^(2^0) = 2 is 1, where omega:mod:2 is undefined
+    lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
+    with pytest.raises(ValueError):
+        search_witnesses(lin, OmegaOf(OmegaOf(Mod(2))))
 
 
 @pytest.mark.parametrize(

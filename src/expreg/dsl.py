@@ -231,7 +231,11 @@ _KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
 
 def parse_colouring(text: str):
     """Colouring spec strings: const:C, mod:M, radop:P, radop-nu:P,
-    omega:<spec>, table:<path>."""
+    omega:<spec>, table:<path>, and a table as print_colouring writes it,
+    table[default D: c1 c2 ...]."""
+    printed = re.fullmatch(r"table\[(default [^:]*):(.*)\]", text)
+    if printed:
+        return _parse_table(" ".join(printed.groups()))
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"expected 'kind:argument', found {text!r}", 1, 1)
@@ -275,8 +279,8 @@ def _parse_table(content: str):
 
 
 def print_colouring(spec) -> str:
-    """The spelling parse_colouring reads, except that a table prints its
-    colours instead of the file they came from."""
+    """The spelling parse_colouring reads; a table prints its colours, not
+    the file they came from."""
     kind = _KIND_NAMES.get(type(spec))
     if kind is None:
         raise TypeError(f"not a colouring spec: {spec!r}")

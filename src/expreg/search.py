@@ -8,6 +8,12 @@ values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
 reported.  The exponential search counts those skips class by class
 instead of walking each tuple, and reports the same numbers a walk would.
+It builds a class's per-edge constraints once per block of Y-tuples that
+share their first value, a block holding len(class)**max(num_y - 1, 1)
+rows, and one walk over the blocks answers both questions: the first
+solution, and the skips before the best one so far.  The re-verification
+goes through `eval_exp`, which evaluates each edge on its own and never
+reads those rows.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .eqsys import ExpSystem
 from .graphs import LinearSystem
@@ -282,10 +289,13 @@ def search_exp(
     A monochromatic assignment must give all X- and Y-variables the same
     colour, so the search runs per colour class and keeps the global
     lexicographic-first winner (X-variables before Y-variables).  The
-    report is the one a tuple-by-tuple walk of each class would give,
-    stopping at the winner: `skipped` counts the tuples before it (all of
-    them, when there is none) on which no edge fails and some edge hits
-    the ceiling.  Those tuples are counted per class, not enumerated; see
+    report is the one a tuple-by-tuple walk of the classes in colour order
+    would give, each walk stopping at the best solution found so far:
+    `skipped` counts the tuples before it (all of them, while there is
+    none) on which no edge fails and some edge hits the ceiling.  Those
+    tuples are counted per class, not enumerated, in one walk over the
+    class's Y-tuples; a class whose own first solution becomes the best
+    so far is walked a second time, to count below it.  See
     `_ClassLattice`.  A var_bound or ceiling below 2 is a ValueError: every
     value is at least 2, so the search would be vacuous.  A value in range
     where the colouring is undefined raises Uncoloured: an exhausted report
@@ -300,17 +310,25 @@ def search_exp(
     skipped = 0
     for colour in sorted(classes):
         lattice = _ClassLattice(sys, classes[colour], ceiling)
-        first = lattice.first_solution()
+        first, unfailed = lattice.walk(below=best)
         if first is not None and (best is None or first < best):
             best = first
+            _, unfailed = lattice.walk(below=best, solve=False)
         # no tuple before the first solution passes, so every unfailed one
         # before the winner is a ceiling skip
-        skipped += lattice.count_unfailed(below=best)
+        skipped += unfailed
     if best is not None:
         statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
         if any(s != PASS for s in statuses):
             raise SelfCheckFailed(f"found assignment {best} failed re-verification: {statuses}")
     return SearchReport(2, var_bound, ceiling, nx + sys.num_y, best, skipped)
+
+
+# An edge's constraint on the X-vertices for one Y-tuple is a pair
+# (unfailed, passing) of masks for a loop, or of tables per value of the
+# earlier endpoint for any other edge.  A side is None where it is
+# trivial: unfailed everywhere, or passing nowhere.
+_AT_CEILING = (None, None)
 
 
 class _ClassLattice:
@@ -325,6 +343,15 @@ class _ClassLattice:
     so the X-tuples of one Y-tuple are counted by assigning X-vertices in
     index order, each to the intersection of the masks its loops and its
     edges to earlier vertices allow.
+
+    The Y-tuples come in blocks, one per value of the first Y-variable (a
+    single Y-variable is one block).  A block's rows are built once: each
+    edge's exponents grow lazily, one variable at a time, over
+    bounded-power tables, and each distinct exponent is resolved once per
+    class to the edge's constraint.  A block holds len(values)**max(num_y - 1, 1) rows
+    of one constraint per edge, never the whole lattice.  One walk over
+    the blocks both finds the first passing assignment and counts the
+    unfailed ones.
     """
 
     def __init__(self, sys: ExpSystem, values: list[int], ceiling: int) -> None:
@@ -332,99 +359,183 @@ class _ClassLattice:
         self.values = values
         self.ceiling = ceiling
         self.full = (1 << len(values)) - 1
-        self._over: dict[int, int] = {}
-        self._links: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        # the largest exponent that keeps some value within the ceiling
+        self._top, power = 0, values[0]
+        while power <= ceiling:
+            self._top, power = self._top + 1, power * values[0]
+        self._powers: dict[int, tuple[list[int], int]] = {}
+        self._links: dict[tuple[int, int], tuple] = {}
+        # per edge: its constraint by unreduced exponent (num, den)
+        self._constraints: list[dict[tuple[int, int], tuple]] = [{} for _ in sys.edges]
+        # per edge: (coefficient, power table) per Y-variable
+        self._factors = [[(c, self._power(abs(c))[0]) for c in e.coeffs] for e in sys.edges]
+        # per edge: its later endpoint, and its earlier one (None for a loop)
+        self._ends = [
+            (e.tail - 1, None)
+            if e.tail == e.head
+            else (max(e.tail, e.head) - 1, min(e.tail, e.head) - 1)
+            for e in sys.edges
+        ]
 
-    def _over_mask(self, e: int) -> int:
-        """Values whose e-th power exceeds the ceiling: a suffix of the class."""
-        mask = self._over.get(e)
-        if mask is None:
-            k = next(
-                (i for i, v in enumerate(self.values) if _bounded_pow(v, e, self.ceiling) is None),
-                len(self.values),
-            )
-            mask = self._over[e] = self.full >> k << k
-        return mask
+    def _power(self, c: int) -> tuple[list[int], int]:
+        """v**c per value, ceiling + 1 past the ceiling, and the number of
+        values within it: a prefix, as the values increase."""
+        power = self._powers.get(c)
+        if power is None:
+            table = []
+            for v in self.values:
+                p = _bounded_pow(v, c, self.ceiling)
+                if p is None:
+                    break
+                table.append(p)
+            k = len(table)
+            table += [self.ceiling + 1] * (len(self.values) - k)
+            power = self._powers[c] = (table, k)
+        return power
 
-    def _link(self, a: int, b: int) -> tuple[list[int], list[int]]:
-        """Per u = values[i]: the v with u^a, v^b unfailed, and those with u^a = v^b <= C."""
+    def _over_mask(self, c: int) -> int:
+        """Values whose c-th power exceeds the ceiling: a suffix of the class."""
+        k = self._power(c)[1]
+        return self.full >> k << k
+
+    def _link(self, a: int, b: int) -> tuple:
+        """The constraint of u^a = v^b on v, per u = values[i]: the v with
+        the pair unfailed, and those with u^a = v^b <= C."""
         key = (a, b)
         if key not in self._links:
-            roots: dict[int, int] = {}
-            for j, v in enumerate(self.values):
-                power = _bounded_pow(v, b, self.ceiling)
-                if power is None:
-                    break
-                roots[power] = 1 << j
-            over_b = self._over_mask(b)
-            unfailed, passing = [], []
-            for u in self.values:
-                power = _bounded_pow(u, a, self.ceiling)
-                root = 0 if power is None else roots.get(power, 0)
-                unfailed.append(self.full if power is None else over_b | root)
-                passing.append(root)
-            self._links[key] = (unfailed, passing)
+            powers_a, ka = self._power(a)
+            powers_b, kb = self._power(b)
+            roots = {powers_b[j]: 1 << j for j in range(kb)}
+            over_b = self.full >> kb << kb
+            rest = len(self.values) - ka
+            passing = [roots.get(p, 0) for p in powers_a[:ka]] + [0] * rest
+            unfailed = [over_b | root for root in passing[:ka]] + [self.full] * rest
+            self._links[key] = (
+                None if unfailed.count(self.full) == len(unfailed) else unfailed,
+                passing if any(passing) else None,
+            )
         return self._links[key]
 
-    def _vertices(self, exps, passing: bool) -> "_Vertices | None":
-        """Per-vertex constraints of one Y-tuple's edge exponents; None when
-        `passing` is asked of a tuple whose edges cannot all pass."""
+    def _constraint(self, k: int, cell: tuple[int, int]) -> tuple:
+        """Edge k's constraint at the unreduced exponent cell = (num, den)."""
+        num, den = cell
+        if num > self.ceiling or den > self.ceiling:
+            # not memoized: exponents past the ceiling are many and all alike
+            return _AT_CEILING
+        g = math.gcd(num, den)
+        n, d = num // g, den // g
+        e = self.sys.edges[k]
+        if n > self._top or d > self._top:
+            # every value's n-th or d-th power is past the ceiling
+            constraint = _AT_CEILING
+        elif e.tail == e.head:
+            # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
+            if n == d:
+                constraint = (None, self.full ^ self._over_mask(1) or None)
+            else:
+                unfailed = self._over_mask(n) | self._over_mask(d)
+                constraint = (None if unfailed == self.full else unfailed, None)
+        elif e.tail < e.head:
+            constraint = self._link(n, d)
+        else:
+            constraint = self._link(d, n)
+        self._constraints[k][cell] = constraint
+        return constraint
+
+    def _column(self, k: int, cells: Iterable[tuple[int, int]]) -> list[tuple]:
+        """Edge k's constraints at the given unreduced exponents."""
+        known, top = self._constraints[k], self._top
+        # num > top * den leaves the reduced numerator past top too, and
+        # den > top * num the denominator
+        return [
+            _AT_CEILING
+            if cell[0] > top * cell[1] or cell[1] > top * cell[0]
+            else known.get(cell) or self._constraint(k, cell)
+            for cell in cells
+        ]
+
+    def _rows(self, cut: slice):
+        """A row per Y-tuple whose first value is in values[cut], in
+        product order: one constraint per edge."""
+        columns = []
+        for k, factors in enumerate(self._factors):
+            # every factor is at least 1 and a power past the ceiling is
+            # ceiling + 1, so a product is past the ceiling iff a factor is
+            cells: Iterable[tuple[int, int]] = [(1, 1)]
+            for j, (c, table) in enumerate(factors):
+                cells = _times(cells, c, table[cut] if j == 0 else table)
+            columns.append(self._column(k, cells))
+        return zip(*columns) if columns else itertools.repeat(())
+
+    def _blocks(self):
+        """Per block, its (Y-tuple, row) pairs in product order."""
+        values = self.values
+        ny = self.sys.num_y
+        if ny < 2:
+            yield zip(itertools.product(values, repeat=ny), self._rows(slice(None)))
+            return
+        for i in range(len(values)):
+            cut = slice(i, i + 1)
+            yield zip(itertools.product(values[cut], *[values] * (ny - 1)), self._rows(cut))
+
+    def _vertices(self, row, passing: bool) -> "_Vertices | None":
+        """Per-vertex constraints of one row: where every edge passes (None
+        when some edge passes nowhere), or where no edge fails."""
         nx = self.sys.num_vertices
         doms = [self.full] * nx
-        preds: list[list[tuple[int, list[int]]]] = [[] for _ in range(nx)]
-        for e, exp in zip(self.sys.edges, exps):
-            if exp is None:
+        preds: list[list[tuple[int, list[int]]]] = [[] for _ in doms]
+        read = [False] * nx
+        for (i, j), constraint in zip(self._ends, row):
+            side = constraint[passing]
+            if side is None:
                 if passing:
                     return None
-                continue
-            n, d = exp
-            t, h = e.tail - 1, e.head - 1
-            if t == h:
-                # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
-                if passing:
-                    doms[t] &= (self.full ^ self._over_mask(1)) if n == d else 0
-                elif n != d:
-                    doms[t] &= self._over_mask(n) | self._over_mask(d)
-            elif t < h:
-                preds[h].append((t, self._link(n, d)[passing]))
+            elif j is None:
+                doms[i] &= side
             else:
-                preds[t].append((h, self._link(d, n)[passing]))
-        return _Vertices(doms, preds)
+                preds[i].append((j, side))
+                read[j] = True
+        return _Vertices(doms, preds, read)
 
-    def _exponents(self, ys) -> tuple:
-        return tuple(_exponent(e, ys, self.ceiling) for e in self.sys.edges)
-
-    def _y_tuples(self):
-        return itertools.product(self.values, repeat=self.sys.num_y)
-
-    def first_solution(self) -> tuple[int, ...] | None:
-        """The lexicographically first assignment on which every edge passes."""
-        best: tuple[int, ...] | None = None
-        best_ys = None
-        for ys in self._y_tuples():
-            vertices = self._vertices(self._exponents(ys), passing=True)
-            xs = None if vertices is None else vertices.first()
-            # later Y-tuples sort after earlier ones with the same X-part
-            if xs is not None and (best is None or xs < best):
-                best, best_ys = xs, ys
-        if best is None:
-            return None
-        return tuple(self.values[k] for k in best) + best_ys
-
-    def count_unfailed(self, below: tuple[int, ...] | None) -> int:
-        """Assignments on which no edge fails, all of them or only those
-        sorting before `below`."""
+    def walk(
+        self, below: tuple[int, ...] | None, solve: bool = True
+    ) -> tuple[tuple[int, ...] | None, int]:
+        """One pass over the class: its lexicographically first passing
+        assignment (None when there is none, or without `solve`), and the
+        number of assignments on which no edge fails, all of them or only
+        those sorting before `below`."""
         nx = self.sys.num_vertices
+        first = first_ys = None
         total = 0
-        for ys in self._y_tuples():
-            vertices = self._vertices(self._exponents(ys), passing=False)
-            if below is None:
-                before, tie = vertices.count(0), False
-            else:
-                before, tie = vertices.count_before(self.values, below[:nx])
-            # a tuple whose X-part ties with `below` sorts before it by its Y-part
-            total += before + (tie and ys < below[nx:])
-        return total
+        for block in self._blocks():
+            for ys, row in block:
+                if solve:
+                    vertices = self._vertices(row, passing=True)
+                    xs = None if vertices is None else vertices.first()
+                    # later Y-tuples sort after earlier ones with the same X-part
+                    if xs is not None and (first is None or xs < first):
+                        first, first_ys = xs, ys
+                vertices = self._vertices(row, passing=False)
+                if below is None:
+                    total += vertices.count(0)
+                else:
+                    before, tie = vertices.count_before(self.values, below[:nx])
+                    # a tuple whose X-part ties with `below` sorts before it by its Y-part
+                    total += before + (tie and ys < below[nx:])
+        if first is None:
+            return None, total
+        return tuple(self.values[k] for k in first) + first_ys, total
+
+
+def _times(cells: Iterable[tuple[int, int]], c: int, table: list[int]) -> Iterator:
+    """Each exponent (num, den) times each power in the table, into the
+    numerator for c > 0 and the denominator for c < 0, in product order.
+    Lazy, so that a block's exponents are never all held at once."""
+    if c > 0:
+        return ((n * p, d) for n, d in cells for p in table)
+    if c < 0:
+        return ((n, d * p) for n, d in cells for p in table)
+    return (cell for cell in cells for _ in table)
 
 
 class _Vertices:
@@ -432,17 +543,19 @@ class _Vertices:
 
     Vertex i may take the bits of doms[i] that every (j, table) in
     preds[i] allows: table[k] is the mask permitted when vertex j < i
-    holds bit k.  The walks below keep an explicit stack, so their depth
-    is not bounded by the recursion limit.
+    holds bit k, and branches[j] says whether any such table exists.  The
+    walks below keep an explicit stack, so their depth is not bounded by
+    the recursion limit.
     """
 
-    def __init__(self, doms: list[int], preds: list[list[tuple[int, list[int]]]]) -> None:
+    def __init__(
+        self, doms: list[int], preds: list[list[tuple[int, list[int]]]], branches: list[bool]
+    ) -> None:
         self.doms = doms
         self.preds = preds
         self.xs = [0] * len(doms)
         # a vertex no later vertex reads contributes its mask's size as a factor
-        read = {j for later in preds for j, _ in later}
-        self.branches = [i in read for i in range(len(doms))]
+        self.branches = branches
 
     def _mask(self, i: int) -> int:
         mask = self.doms[i]
@@ -454,7 +567,12 @@ class _Vertices:
     def count(self, start: int) -> int:
         """Completions of the assignment of vertices before `start`."""
         nx = len(self.doms)
-        xs, branches = self.xs, self.branches
+        xs, branches, doms, preds = self.xs, self.branches, self.doms, self.preds
+        if True not in branches[start:]:
+            total = 1
+            for i in range(start, nx):
+                total *= self._mask(i).bit_count()
+            return total
         pending = [0] * (nx + 1)
         weight = [1] * (nx + 1)
         total = 0
@@ -480,7 +598,11 @@ class _Vertices:
                 weight[i + 1] = weight[i] * mask.bit_count()
             i += 1
             if i < nx:
-                pending[i] = self._mask(i)
+                # _mask(i), inline: this is the search's innermost loop
+                mask = doms[i]
+                for j, table in preds[i]:
+                    mask &= table[xs[j]]
+                pending[i] = mask
         return total
 
     def count_before(self, values: list[int], bound) -> tuple[int, bool]:

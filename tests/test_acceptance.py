@@ -11,7 +11,7 @@ from pathlib import Path
 
 
 from expreg.cli import build_decision_report
-from expreg.corpus import run_experiment, system_corpus
+from expreg.corpus import PANEL, run_experiment, system_corpus
 from expreg.dsl import parse_system, print_colouring
 from expreg.eqsys import ExpSystem, normalize
 from expreg.graphs import (
@@ -27,6 +27,7 @@ from expreg.search import (
     eval_exp,
     rado_number,
     search_exp,
+    search_witnesses,
     vdw_number,
 )
 from expreg.witness import (
@@ -41,6 +42,7 @@ from expreg.witness import (
 from helpers import (
     find_progression,
     iter_systems,
+    reference_colour,
     simple_cycle_rows,
     single_equation_oracle,
     solves_in_span,
@@ -261,19 +263,50 @@ def test_criterion_09_factor_count_properties():
     _check("09 factor-count", failures == 0, 5.0, time.time() - start)
 
 
+# witness values at most this large are materialized and re-coloured
+WITNESS_CAP = 10**12
+
+
+def _recoloured_pr_witnesses(count: int):
+    """Per PR system of the first `count` corpus systems and PANEL colouring
+    with a witness: the colours reference_colour gives the witness values
+    that materialize under WITNESS_CAP.  The witnesses were picked with the
+    package's tower colouring, so this check does not share its code."""
+    for raw in system_corpus(count):
+        sys_, _ = normalize(raw)
+        lin = build_linear_system(sys_)
+        if not is_partition_regular(lin.matrix)[0]:
+            continue
+        for spec in PANEL:
+            w = search_witnesses(lin, spec)
+            if w is not None:
+                values = (tower_to_int(tv, WITNESS_CAP) for tv in w.xs + w.ys)
+                yield [reference_colour(spec, v) for v in values if v is not None]
+
+
 def test_criterion_10_end_to_end_consistency():
     start = time.time()
     result = run_experiment(100)
     pr_count, npr_count = result["pr"], result["npr"]
     hard_failures = result["hard_failures"]
     rates = {print_colouring(c): f"{n}/{pr_count}" for c, n in result["inconclusive"].items()}
+    # every witness has some value checked, and one colour on all of them
+    recoloured = list(_recoloured_pr_witnesses(100))
+    witness_failures = sum(len(set(colours)) != 1 for colours in recoloured)
+    checked = sum(map(len, recoloured))
     detail = (
         f"PR={pr_count} nonPR={npr_count} unverified={result['unverified']} "
-        f"inconclusive={rates} hard_failures={hard_failures}"
+        f"inconclusive={rates} hard_failures={hard_failures} "
+        f"witnesses={len(recoloured)} values_recoloured={checked} "
+        f"witness_failures={witness_failures}"
     )
     _check(
         "10 end-to-end",
-        hard_failures == 0 and pr_count > 0 and npr_count > 0,
+        hard_failures == 0
+        and pr_count > 0
+        and npr_count > 0
+        and len(recoloured) > 0
+        and witness_failures == 0,
         300.0,
         time.time() - start,
         detail,

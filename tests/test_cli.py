@@ -244,6 +244,12 @@ class TestOtherCommands:
         code, out, _ = run_cli("colouring", "--spec", "radop-nu:3", "--eval", "64")
         assert (code, out) == (0, "2\n")
 
+    def test_colouring_eval_printed_table(self, run_cli):
+        # the printed form of a table is a spec the command reads
+        spec = "table[default 3: 1 2 1]"
+        for x, colour in (("2", "2\n"), ("4", "3\n")):
+            assert run_cli("colouring", "--spec", spec, "--eval", x)[:2] == (0, colour)
+
     @pytest.mark.parametrize(
         "spec,x",
         [("radop-nu:3", "1"), ("omega:mod:2", "1"), ("omega:omega:mod:2", "2"), ("mod:4", "0")],

@@ -187,13 +187,28 @@ class TestColouringSpecs:
             assert print_colouring(parse_colouring(text)) == text
 
     def test_print_table_file(self, tmp_path):
-        # a table prints its colours, not the file they came from
+        # a table prints its colours, not the file they came from, and the
+        # printed form reads back as the same table
         path = tmp_path / "colours.txt"
-        path.write_text("default 3\n1 2 1\n")
-        assert print_colouring(parse_colouring(f"table:{path}")) == "table[default 3: 1 2 1]"
-        assert print_colouring(parse_colouring(f"omega:table:{path}")) == (
-            "omega:table[default 3: 1 2 1]"
-        )
+        for content, printed in (
+            ("default 3\n1 2 1\n", "table[default 3: 1 2 1]"),
+            ("4 0\n", "table[default 0: 4 0]"),
+            ("default 2\n", "table[default 2: ]"),
+        ):
+            path.write_text(content)
+            for outer in ("", "omega:", "omega:omega:"):
+                spec = parse_colouring(f"{outer}table:{path}")
+                assert print_colouring(spec) == outer + printed
+                assert parse_colouring(outer + printed) == spec
+                assert print_colouring(parse_colouring(outer + printed)) == outer + printed
+
+    @pytest.mark.parametrize(
+        "text",
+        ["table[default x: 1 2]", "table[default 3: 1 y]", "table[default -1: 1]", "table[3: 1]"],
+    )
+    def test_printed_table_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_colouring(text)
 
     def test_print_rejects_other_values(self):
         with pytest.raises(TypeError):

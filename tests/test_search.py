@@ -10,7 +10,7 @@ import expreg.search
 from expreg.corpus import system_corpus
 from expreg.dsl import parse_system
 from expreg.graphs import build_linear_system
-from expreg.eqsys import ExpSystem, normalize
+from expreg.eqsys import Edge, ExpSystem, normalize
 from expreg.rado import IntMatrix, SelfCheckFailed
 from expreg.search import (
     CEILING,
@@ -21,6 +21,7 @@ from expreg.search import (
     OmegaOf,
     RadoP,
     RadoPNu,
+    SearchReport,
     Table,
     Uncoloured,
     colour_of,
@@ -258,7 +259,7 @@ class TestSearchExp:
     def test_self_check_rejects_a_wrong_assignment(self, monkeypatch):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
         monkeypatch.setattr(
-            expreg.search._ClassLattice, "first_solution", lambda self: (2, 2, 2, 2)
+            expreg.search._ClassLattice, "walk", lambda self, below, solve=True: ((2, 2, 2, 2), 0)
         )
         with pytest.raises(SelfCheckFailed):
             search_exp(s, Constant(0), 16, 10**6)
@@ -305,6 +306,83 @@ class TestSearchExpMatchesReference:
                 assert report == reference_search_exp(sys, RadoPNu(p), bound, 10**6)
                 outcomes.add((report.found, report.skipped > 0))
         assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+class TestClassRows:
+    """Shapes of the per-block rows that random systems rarely hit, each
+    against the tuple-by-tuple reference."""
+
+    @pytest.mark.parametrize(
+        "sys,spec,bound,ceiling",
+        [
+            # every edge an identity: normalized away, no edges left
+            (
+                normalize(ExpSystem.square(3, [(1, 2, [0, 0, 0]), (2, 3, [0, 0, 0])]))[0],
+                Mod(2),
+                9,
+                10**6,
+            ),
+            # one Y-variable: the whole class is one block
+            (ExpSystem(2, 1, (Edge(1, 2, (2,)),)), Constant(0), 20, 10**6),
+            (ExpSystem(2, 1, (Edge(1, 2, (1,)), Edge(2, 2, (-1,)))), Constant(0), 12, 64),
+            # an edge zero on the first Y-variable, one nonzero only there
+            (
+                ExpSystem.square(3, [(1, 2, [0, 1, 1]), (2, 3, [2, 0, 0])]),
+                Constant(0),
+                5,
+                10**6,
+            ),
+            (ExpSystem.square(2, [(1, 2, [0, -1]), (2, 1, [2, 0])]), Mod(2), 9, 10**6),
+            # loops with n = d (Y1 = Y2) and with n != d
+            (ExpSystem.square(2, [(1, 1, [1, -1]), (1, 2, [0, 1])]), Constant(0), 9, 10**6),
+            (ExpSystem.square(2, [(1, 1, [1, -1]), (2, 2, [1, 0])]), Constant(0), 9, 64),
+            # n = d on a class wholly past the ceiling: colour 0 is {3, ..., 12},
+            # walked before colour 1, {2}, and x^1 > 2 is a ceiling, not a pass
+            (ExpSystem(1, 2, (Edge(1, 1, (1, -1)),)), Table((0, 1)), 12, 2),
+            # ceiling 64: Y1 >= 5 puts Y1^3 past it, so whole blocks are ceilings
+            (ExpSystem.square(2, [(1, 2, [3, 0])]), Constant(0), 9, 64),
+            (ExpSystem.square(2, [(1, 2, [3, -1])]), Mod(3), 9, 64),
+        ],
+        ids=[
+            "edgeless",
+            "one-y-found",
+            "one-y-loop",
+            "first-y-zero-or-only-3y",
+            "first-y-zero-or-only-2y",
+            "loop-n-eq-d",
+            "loop-n-ne-d",
+            "loop-class-past-ceiling",
+            "ceiling-blocks",
+            "ceiling-blocks-rational",
+        ],
+    )
+    def test_matches_reference(self, sys, spec, bound, ceiling):
+        assert search_exp(sys, spec, bound, ceiling) == reference_search_exp(
+            sys, spec, bound, ceiling
+        )
+
+    def test_edgeless_system_passes_everywhere(self):
+        sys, _ = normalize(ExpSystem.square(3, [(1, 2, [0, 0, 0]), (2, 3, [0, 0, 0])]))
+        assert sys.edges == ()
+        assert search_exp(sys, Mod(2), 9, 10**6) == SearchReport(2, 9, 10**6, 4, (2, 2, 2, 2), 0)
+
+    def test_ceiling_blocks_are_skipped(self):
+        report = search_exp(ExpSystem.square(2, [(1, 2, [3, 0])]), Constant(0), 9, 64)
+        assert report.exhausted
+        assert report.skipped > 0
+
+    def test_later_class_with_a_smaller_solution(self):
+        # colour 0 is {3, 5, 6, ..., 30} with first solution (3, 27, 3); colour
+        # 1 is {2, 4}, searched later, with (2, 4, 2).  Colour 1's first walk
+        # counts three unfailed tuples below the old winner: (2, 4, 2) itself,
+        # and (4, 2, 4) and (4, 4, 4) past the ceiling.  Its second walk
+        # counts none below the new winner.
+        sys = ExpSystem(2, 1, (Edge(1, 2, (1,)),))
+        spec = Table((0, 1, 0, 1))
+        report = search_exp(sys, spec, 30, 64)
+        assert report == reference_search_exp(sys, spec, 30, 64)
+        assert report.assignment == (2, 4, 2)
+        assert report.skipped == 598
 
 
 class TestSearchLin:
@@ -389,7 +467,7 @@ def test_search_witnesses_raises_on_uncoloured_towers():
     "patch,call",
     [
         (
-            "s._ClassLattice.first_solution = lambda self: (2, 2, 2, 2)",
+            "s._ClassLattice.walk = lambda self, below, solve=True: ((2, 2, 2, 2), 0)",
             "s.search_exp(ExpSystem.square(2, [(1, 2, [1, 1])]), s.Constant(0), 16, 10**6)",
         ),
         (

@@ -8,12 +8,12 @@ values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
 reported.  The exponential search counts those skips class by class
 instead of walking each tuple, and reports the same numbers a walk would.
-It builds a class's per-edge constraints once per block of Y-tuples that
-share their first value, a block holding len(class)**max(num_y - 1, 1)
-rows, and one walk over the blocks answers both questions: the first
-solution, and the skips before the best one so far.  The re-verification
-goes through `eval_exp`, which evaluates each edge on its own and never
-reads those rows.
+It streams a class's rows of per-edge constraints, one per Y-tuple and
+one row held at a time, resolving each distinct exponent once per class,
+and one walk over the rows answers both questions: the first solution,
+and the skips before the best one so far.  The re-verification goes
+through `eval_exp`, which evaluates each edge on its own and never reads
+those rows.
 """
 
 from __future__ import annotations
@@ -344,13 +344,12 @@ class _ClassLattice:
     index order, each to the intersection of the masks its loops and its
     edges to earlier vertices allow.
 
-    The Y-tuples come in blocks, one per value of the first Y-variable (a
-    single Y-variable is one block).  A block's rows are built once: each
-    edge's exponents grow lazily, one variable at a time, over
-    bounded-power tables, and each distinct exponent is resolved once per
-    class to the edge's constraint.  A block holds len(values)**max(num_y - 1, 1) rows
-    of one constraint per edge, never the whole lattice.  One walk over
-    the blocks both finds the first passing assignment and counts the
+    A row holds one constraint per edge for one Y-tuple.  Each edge's
+    exponents grow lazily, one variable at a time, over bounded-power
+    tables, and each distinct exponent is resolved once per class to the
+    edge's constraint, so the rows stream in product order and only the
+    current one is held, never a block or the whole lattice.  One walk
+    over the rows both finds the first passing assignment and counts the
     unfailed ones.
     """
 
@@ -442,41 +441,29 @@ class _ClassLattice:
         self._constraints[k][cell] = constraint
         return constraint
 
-    def _column(self, k: int, cells: Iterable[tuple[int, int]]) -> list[tuple]:
+    def _column(self, k: int, cells: Iterable[tuple[int, int]]) -> Iterator[tuple]:
         """Edge k's constraints at the given unreduced exponents."""
         known, top = self._constraints[k], self._top
         # num > top * den leaves the reduced numerator past top too, and
         # den > top * num the denominator
-        return [
+        return (
             _AT_CEILING
             if cell[0] > top * cell[1] or cell[1] > top * cell[0]
             else known.get(cell) or self._constraint(k, cell)
             for cell in cells
-        ]
+        )
 
-    def _rows(self, cut: slice):
-        """A row per Y-tuple whose first value is in values[cut], in
-        product order: one constraint per edge."""
+    def _rows(self) -> Iterator[tuple]:
+        """A row per Y-tuple, in product order: one constraint per edge."""
         columns = []
         for k, factors in enumerate(self._factors):
             # every factor is at least 1 and a power past the ceiling is
             # ceiling + 1, so a product is past the ceiling iff a factor is
             cells: Iterable[tuple[int, int]] = [(1, 1)]
-            for j, (c, table) in enumerate(factors):
-                cells = _times(cells, c, table[cut] if j == 0 else table)
+            for c, table in factors:
+                cells = _times(cells, c, table)
             columns.append(self._column(k, cells))
         return zip(*columns) if columns else itertools.repeat(())
-
-    def _blocks(self):
-        """Per block, its (Y-tuple, row) pairs in product order."""
-        values = self.values
-        ny = self.sys.num_y
-        if ny < 2:
-            yield zip(itertools.product(values, repeat=ny), self._rows(slice(None)))
-            return
-        for i in range(len(values)):
-            cut = slice(i, i + 1)
-            yield zip(itertools.product(values[cut], *[values] * (ny - 1)), self._rows(cut))
 
     def _vertices(self, row, passing: bool) -> "_Vertices | None":
         """Per-vertex constraints of one row: where every edge passes (None
@@ -507,21 +494,21 @@ class _ClassLattice:
         nx = self.sys.num_vertices
         first = first_ys = None
         total = 0
-        for block in self._blocks():
-            for ys, row in block:
-                if solve:
-                    vertices = self._vertices(row, passing=True)
-                    xs = None if vertices is None else vertices.first()
-                    # later Y-tuples sort after earlier ones with the same X-part
-                    if xs is not None and (first is None or xs < first):
-                        first, first_ys = xs, ys
-                vertices = self._vertices(row, passing=False)
-                if below is None:
-                    total += vertices.count(0)
-                else:
-                    before, tie = vertices.count_before(self.values, below[:nx])
-                    # a tuple whose X-part ties with `below` sorts before it by its Y-part
-                    total += before + (tie and ys < below[nx:])
+        ys_tuples = itertools.product(self.values, repeat=self.sys.num_y)
+        for ys, row in zip(ys_tuples, self._rows()):
+            if solve:
+                vertices = self._vertices(row, passing=True)
+                xs = None if vertices is None else vertices.first()
+                # later Y-tuples sort after earlier ones with the same X-part
+                if xs is not None and (first is None or xs < first):
+                    first, first_ys = xs, ys
+            vertices = self._vertices(row, passing=False)
+            if below is None:
+                total += vertices.count(0)
+            else:
+                before, tie = vertices.count_before(self.values, below[:nx])
+                # a tuple whose X-part ties with `below` sorts before it by its Y-part
+                total += before + (tie and ys < below[nx:])
         if first is None:
             return None, total
         return tuple(self.values[k] for k in first) + first_ys, total
@@ -530,7 +517,7 @@ class _ClassLattice:
 def _times(cells: Iterable[tuple[int, int]], c: int, table: list[int]) -> Iterator:
     """Each exponent (num, den) times each power in the table, into the
     numerator for c > 0 and the denominator for c < 0, in product order.
-    Lazy, so that a block's exponents are never all held at once."""
+    Lazy, so that a class's exponents are never all held at once."""
     if c > 0:
         return ((n * p, d) for n, d in cells for p in table)
     if c < 0:
@@ -567,12 +554,7 @@ class _Vertices:
     def count(self, start: int) -> int:
         """Completions of the assignment of vertices before `start`."""
         nx = len(self.doms)
-        xs, branches, doms, preds = self.xs, self.branches, self.doms, self.preds
-        if True not in branches[start:]:
-            total = 1
-            for i in range(start, nx):
-                total *= self._mask(i).bit_count()
-            return total
+        xs, branches = self.xs, self.branches
         pending = [0] * (nx + 1)
         weight = [1] * (nx + 1)
         total = 0
@@ -598,11 +580,7 @@ class _Vertices:
                 weight[i + 1] = weight[i] * mask.bit_count()
             i += 1
             if i < nx:
-                # _mask(i), inline: this is the search's innermost loop
-                mask = doms[i]
-                for j, table in preds[i]:
-                    mask &= table[xs[j]]
-                pending[i] = mask
+                pending[i] = self._mask(i)
         return total
 
     def count_before(self, values: list[int], bound) -> tuple[int, bool]:

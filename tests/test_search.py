@@ -309,7 +309,7 @@ class TestSearchExpMatchesReference:
 
 
 class TestClassRows:
-    """Shapes of the per-block rows that random systems rarely hit, each
+    """Shapes of the class rows that random systems rarely hit, each
     against the tuple-by-tuple reference."""
 
     @pytest.mark.parametrize(
@@ -322,7 +322,7 @@ class TestClassRows:
                 9,
                 10**6,
             ),
-            # one Y-variable: the whole class is one block
+            # one Y-variable: one row per class value
             (ExpSystem(2, 1, (Edge(1, 2, (2,)),)), Constant(0), 20, 10**6),
             (ExpSystem(2, 1, (Edge(1, 2, (1,)), Edge(2, 2, (-1,)))), Constant(0), 12, 64),
             # an edge zero on the first Y-variable, one nonzero only there
@@ -339,7 +339,7 @@ class TestClassRows:
             # n = d on a class wholly past the ceiling: colour 0 is {3, ..., 12},
             # walked before colour 1, {2}, and x^1 > 2 is a ceiling, not a pass
             (ExpSystem(1, 2, (Edge(1, 1, (1, -1)),)), Table((0, 1)), 12, 2),
-            # ceiling 64: Y1 >= 5 puts Y1^3 past it, so whole blocks are ceilings
+            # ceiling 64: Y1 >= 5 puts Y1^3 past it, so every row from there is a ceiling
             (ExpSystem.square(2, [(1, 2, [3, 0])]), Constant(0), 9, 64),
             (ExpSystem.square(2, [(1, 2, [3, -1])]), Mod(3), 9, 64),
         ],
@@ -352,8 +352,8 @@ class TestClassRows:
             "loop-n-eq-d",
             "loop-n-ne-d",
             "loop-class-past-ceiling",
-            "ceiling-blocks",
-            "ceiling-blocks-rational",
+            "ceiling-rows",
+            "ceiling-rows-rational",
         ],
     )
     def test_matches_reference(self, sys, spec, bound, ceiling):
@@ -366,7 +366,7 @@ class TestClassRows:
         assert sys.edges == ()
         assert search_exp(sys, Mod(2), 9, 10**6) == SearchReport(2, 9, 10**6, 4, (2, 2, 2, 2), 0)
 
-    def test_ceiling_blocks_are_skipped(self):
+    def test_ceiling_rows_are_skipped(self):
         report = search_exp(ExpSystem.square(2, [(1, 2, [3, 0])]), Constant(0), 9, 64)
         assert report.exhausted
         assert report.skipped > 0

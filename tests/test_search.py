@@ -342,6 +342,9 @@ class TestClassRows:
             # ceiling 64: Y1 >= 5 puts Y1^3 past it, so every row from there is a ceiling
             (ExpSystem.square(2, [(1, 2, [3, 0])]), Constant(0), 9, 64),
             (ExpSystem.square(2, [(1, 2, [3, -1])]), Mod(3), 9, 64),
+            # Y1^2 / Y2^2 with both powers past ceiling 64 on colour 0, {9, ..., 12}:
+            # a ceiling on every tuple there, although the ratio reduces to 1
+            (ExpSystem.square(2, [(1, 2, [2, -2])]), Table((1,) * 8), 12, 64),
         ],
         ids=[
             "edgeless",
@@ -354,6 +357,7 @@ class TestClassRows:
             "loop-class-past-ceiling",
             "ceiling-rows",
             "ceiling-rows-rational",
+            "both-powers-past-ceiling",
         ],
     )
     def test_matches_reference(self, sys, spec, bound, ceiling):

@@ -2,7 +2,7 @@
 """Corpus experiment: decide random systems and cross-check both certificate
 directions at desk scale (`expreg.corpus.run_experiment`).
 
-Prints one line per unverified system or hard failure, then the counts,
+Prints one line per unproved system or hard failure, then the counts,
 and exits nonzero on any hard failure.
 """
 
@@ -29,7 +29,7 @@ def main() -> int:
     elapsed = time.time() - start
     pr = result["pr"]
     print(f"corpus: {args.count} systems (seed {args.seed}), {elapsed:.1f}s")
-    print(f"  PR: {pr}   non-PR: {result['npr']}   unverified primes: {result['unverified']}")
+    print(f"  PR: {pr}   non-PR: {result['npr']}   unproved: {result['unverified']}")
     for spec, count in result["inconclusive"].items():
         print(f"  inconclusive under {print_colouring(spec)}: {count}/{pr}")
     print(f"  hard failures: {result['hard_failures']}")

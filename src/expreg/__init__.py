@@ -3,8 +3,8 @@
 Systems X_i ^ (Y_1^c1 ... Y_n^cn) = X_j are classified by linearizing over
 a fundamental cycle basis of their relation digraph and applying Rado's
 columns-property criterion; both verdicts come with machine-checkable
-certificates (tower witnesses, or forbidding colourings re-verified by
-exhaustive search).
+certificates (tower witnesses, or forbidding colourings with a mod-p
+proof).
 """
 
 from .eqsys import Edge, ExpSystem, normalize, validate

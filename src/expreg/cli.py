@@ -2,7 +2,7 @@
 
 Exit codes for `decide`: 0 partition regular, 1 not partition regular,
 2 error or inconclusive (parse failure, column budget, no candidate prime
-verified, internal error).  All output is deterministic: identical inputs
+proved, internal error).  All output is deterministic: identical inputs
 and flags give byte-identical output.
 """
 
@@ -19,12 +19,19 @@ from pathlib import Path
 from . import dsl, search
 from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
-from .rado import ColumnBudgetExceeded, NotPrime, columns_property, is_prime, rado_colour
+from .rado import (
+    ColumnBudgetExceeded,
+    NotPrime,
+    SelfCheckFailed,
+    columns_property,
+    is_prime,
+    mod_proof,
+    rado_colour,
+)
 from .search import AUTO_PRIMES, DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
-REPORT_VERSION = 1
-DEFAULT_VERIFY_BOUND = 40
+REPORT_VERSION = 2
 DEFAULT_WITNESS_Z_CAP = 256
 
 
@@ -99,9 +106,15 @@ def build_decision_report(
     a: int = 2,
     b: int = 2,
     prime: int | str = "auto",
-    verify_bound: int = DEFAULT_VERIFY_BOUND,
+    verify_bound: int | None = None,
 ) -> dict:
     """Run the full decision pipeline on a system document.
+
+    A not-PR verdict carries the mod-p proof of the first candidate prime
+    that has one (`rado.mod_proof`).  Only with a `verify_bound` does the
+    exhaustive search run, once, on that prime's colouring, as an
+    empirical cross-check; a solution it finds contradicts the proof and
+    raises SelfCheckFailed.
 
     Raises dsl.ParseError, CommandError (a `prime` that is neither "auto"
     nor a prime), ValueError (a `verify_bound` below 2, whatever the
@@ -119,7 +132,8 @@ def build_decision_report(
         if not is_prime(p):
             raise CommandError(f"--p must be prime, got {prime}")
         candidates = (p,)
-    search.check_var_bound(verify_bound)
+    if verify_bound is not None:
+        search.check_var_bound(verify_bound)
     sys0 = dsl.parse_system(text)
     nsys, relabel = normalize(sys0)
     lin = build_linear_system(nsys)
@@ -173,27 +187,39 @@ def build_decision_report(
                 report["witness"] = _witness_json(w)
     else:
         report["verdict"] = "not PR"
-        for p in candidates:
-            colouring = search.RadoPNu(p)
-            outcome = search.search_exp(nsys, colouring, verify_bound, DEFAULT_CEILING)
-            if outcome.exhausted:
-                report["certificate"] = {
-                    "type": "forbidding-colouring",
-                    "colouring": dsl.print_colouring(colouring),
-                    "prime": p,
-                    "verification": {
-                        "var_bound": verify_bound,
-                        "ceiling": DEFAULT_CEILING,
-                        "skipped": outcome.skipped,
-                        "outcome": "exhausted-no-solution",
-                    },
-                }
-                break
-        else:
+        proof = mod_proof(lin.matrix, candidates)
+        if proof is None:
             raise NoPrimeVerified(
-                f"no candidate prime in {list(candidates)} verified empty at bound"
-                f" {verify_bound}; refusing to guess"
+                f"no candidate prime in {list(candidates)} proves that its radop-nu"
+                " colouring forbids the system; refusing to guess"
             )
+        p = proof.prime
+        colouring = search.RadoPNu(p)
+        cert = {
+            "type": "forbidding-colouring",
+            "colouring": dsl.print_colouring(colouring),
+            "prime": p,
+            "proof": {
+                "prime": p,
+                "level": proof.level,
+                "blocks": [list(block) for block in proof.blocks],
+            },
+        }
+        if verify_bound is not None:
+            outcome = search.search_exp(nsys, colouring, verify_bound, DEFAULT_CEILING)
+            if outcome.found:
+                raise SelfCheckFailed(
+                    f"{cert['colouring']} colours {outcome.assignment} with one colour,"
+                    f" against its mod-{p} proof"
+                )
+            cert["verification"] = {
+                "type": "empirical-cross-check",
+                "var_bound": verify_bound,
+                "ceiling": DEFAULT_CEILING,
+                "skipped": outcome.skipped,
+                "outcome": "exhausted-no-solution",
+            }
+        report["certificate"] = cert
     report["warnings"] = warnings
     return report
 
@@ -307,12 +333,17 @@ def _render_decision(report: dict) -> str:
         suffix = " (no cycle constraints)" if cert["trivial"] else ""
         lines.append(f"certificate: columns partition {blocks}{suffix}")
     else:
-        ver = cert["verification"]
+        proof = cert["proof"]
         lines.append(
             f"certificate: forbidding colouring {cert['colouring']} "
-            f"(verified empty up to variable bound {ver['var_bound']}, "
-            f"ceiling {ver['ceiling']}, {ver['skipped']} skipped)"
+            f"(proved mod {proof['prime']}: no admissible block at level {proof['level']})"
         )
+        ver = cert.get("verification")
+        if ver is not None:
+            lines.append(
+                f"empirical cross-check: no monochromatic solution up to variable bound"
+                f" {ver['var_bound']}, ceiling {ver['ceiling']}, {ver['skipped']} skipped"
+            )
     w = report["witness"]
     if w is not None:
         lines.append(
@@ -483,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_base, default=2)
     p.add_argument("--b", type=_base, default=2)
     p.add_argument("--p", default="auto", help="forbidding prime, or 'auto'")
-    p.add_argument("--verify-bound", type=int, default=DEFAULT_VERIFY_BOUND)
+    p.add_argument(
+        "--verify-bound", type=int, help="cross-check a not-PR proof by exhaustive search"
+    )
     p.set_defaults(run=_cmd_decide)
 
     p = sub.add_parser("linearize", help="print the cycle-indexed linear system")

@@ -13,7 +13,7 @@ import random
 from .dsl import print_colouring
 from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
-from .rado import is_partition_regular
+from .rado import is_partition_regular, mod_proof
 from .search import (
     AUTO_PRIMES,
     DEFAULT_CEILING,
@@ -62,12 +62,15 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
     A PR system is asked for a lifted witness that is monochromatic under
     each PANEL colouring: none within the bounds is inconclusive, never a
     refutation, and one that is not monochromatic is a hard failure.  A
-    not-PR system takes the first of the AUTO_PRIMES, which `decide` tries
-    too, whose radop-nu colouring is verified empty at its PICK_BOUNDS
-    bound; a solution for it at a larger bound is a hard failure.  Each
-    system's linear side is built once.  Returns the counts `pr`, `npr`,
-    `unverified`, `hard_failures` and `inconclusive` (PANEL spec -> count),
-    and `notes`, one line per unverified system or hard failure.
+    not-PR system takes the first of the AUTO_PRIMES with a mod-p proof,
+    as `decide` does, and its radop-nu colouring is then refuted by
+    either check: a monochromatic lifted witness from `search_witnesses`,
+    or a solution from the exhaustive search a little past its
+    PICK_BOUNDS bound; either is a hard failure.  Each system's linear
+    side is built once.  Returns the counts `pr`, `npr`, `unverified` (no
+    listed prime proves the system), `hard_failures` and `inconclusive`
+    (PANEL spec -> count), and `notes`, one line per unverified system or
+    hard failure.
     """
     out = {"pr": 0, "npr": 0, "unverified": 0, "hard_failures": 0, "notes": []}
     out["inconclusive"] = dict.fromkeys(PANEL, 0)
@@ -90,19 +93,21 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
                     )
             continue
         out["npr"] += 1
-        pick = PICK_BOUNDS[min(nvars, 8)]
-        for chosen in AUTO_PRIMES:
-            if search_exp(sys_, RadoPNu(chosen), pick, DEFAULT_CEILING).exhausted:
-                break
-        else:
+        proof = mod_proof(lin.matrix, AUTO_PRIMES)
+        if proof is None:
             out["unverified"] += 1
-            out["notes"].append(f"system {index}: no listed prime verified at bound {pick}")
+            out["notes"].append(f"system {index}: no listed prime proves it")
             continue
-        # the emitted colouring must stay empty at a larger desk bound
-        recheck = pick + (1 if nvars >= 5 else 2)
-        if search_exp(sys_, RadoPNu(chosen), recheck, DEFAULT_CEILING).found:
+        spec = RadoPNu(proof.prime)
+        recheck = PICK_BOUNDS[min(nvars, 8)] + (1 if nvars >= 5 else 2)
+        if search_witnesses(lin, spec, z_bound=z_bound) is not None:
             out["hard_failures"] += 1
             out["notes"].append(
-                f"system {index}: emitted colouring radop-nu:{chosen} admitted a solution"
+                f"system {index}: a lifted witness is monochromatic under {print_colouring(spec)}"
+            )
+        elif search_exp(sys_, spec, recheck, DEFAULT_CEILING).found:
+            out["hard_failures"] += 1
+            out["notes"].append(
+                f"system {index}: emitted colouring {print_colouring(spec)} admitted a solution"
             )
     return out

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra and the columns-property decision procedure.
+"""Exact linear algebra, the columns-property decision procedure and its
+mod-p counterpart, which proves a digit colouring forbids a system.
 
 Everything here works over unbounded integers and `fractions.Fraction`;
 the columns property is a brittle algebraic predicate and floating point
@@ -7,10 +8,11 @@ is never acceptable.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -67,6 +69,8 @@ class IntMatrix:
 class _Span:
     """Incrementally built row-echelon basis for a rational span."""
 
+    exact = True
+
     def __init__(self) -> None:
         self.rows: list[tuple[Fraction, ...]] = []  # each normalized to leading 1
         self.pivots: list[int] = []
@@ -90,6 +94,51 @@ class _Span:
                 self.rows.append(tuple(a * inv for a in v))
                 self.pivots.append(pivot)
                 return
+
+
+class _ModAnnihilator:
+    """Block sums tested mod p against the annihilator of the columns added.
+
+    `basis` is a basis of the lattice of integer vectors phi with
+    phi . a = 0 for every column a added, and `contains(s)` holds when
+    phi . s = 0 (mod p) for every phi in it.  It starts as the unit
+    vectors, so with no column added the test is s = 0 (mod p).  Adding a
+    column runs Euclid on the values phi . a with unimodular steps and
+    drops the one vector left with a nonzero value, so the basis spans the
+    whole lattice, not a sublattice: the test is the strictest it gives.
+    """
+
+    exact = False
+
+    def __init__(self, p: int, dim: int) -> None:
+        self.p = p
+        self.basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        p = self.p
+        return all(sum(map(operator.mul, phi, vec)) % p == 0 for phi in self.basis)
+
+    def add(self, col: Sequence[int]) -> None:
+        kept, live = [], []
+        for phi in self.basis:
+            v = sum(map(operator.mul, phi, col))
+            if v:
+                live.append((v, phi))
+            else:
+                kept.append(phi)
+        while len(live) > 1:
+            live.sort(key=lambda item: abs(item[0]))
+            v0, phi0 = live[0]
+            rest = [live[0]]
+            for v, phi in live[1:]:
+                q = v // v0
+                phi = tuple(a - q * b for a, b in zip(phi, phi0))
+                if v - q * v0:
+                    rest.append((v - q * v0, phi))
+                else:
+                    kept.append(phi)
+            live = rest
+        self.basis = kept
 
 
 @dataclass(frozen=True)
@@ -146,13 +195,14 @@ def _vector_sum(vectors) -> tuple[int, ...]:
     return total
 
 
-def columns_property(m: IntMatrix) -> ColumnsPartition | None:
-    """Find an ordered column partition witnessing Rado's criterion, or None.
+def _greedy_levels(m: IntMatrix, test) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The greedy level loop behind both certificates.
 
-    Deterministic: returns the first valid partition under lexicographic
-    order on column-label vectors (block membership of low-index columns
-    decided first).  A matrix with no rows has all-zero columns in Q^0, so
-    the single block S_0 = all columns always works there.
+    `test` decides which block sums a level admits: a `_Span` of the
+    columns taken so far (Rado's columns property) or a `_ModAnnihilator`
+    (the mod-p proof).  Its bound `contains` tests one level's candidates
+    and `add` takes each column of the chosen block.  An exact test's
+    level 0 compares each block sum with zero directly.
 
     Each level tries the nonempty subsets of the r remaining columns by
     decreasing mask, bit r-1-i standing for the i-th remaining column: the
@@ -160,20 +210,20 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     an earlier one, which is lexicographic order on label vectors.  It
     takes the first admissible block and never undoes it.  Exchange lemma:
     if a valid partition T_0, ..., T_d of the remaining columns exists and
-    B is admissible at this level, then B, T_0 - B, ..., T_d - B (empty
-    blocks dropped) is valid too, because the sum over T_i - B differs from
-    the sum over T_i by columns of B, which are in the span from then on.
+    B is any nonempty block taken at this level, then T_0 - B, ..., T_d - B
+    (empty blocks dropped) is valid too, because the sum over T_i - B
+    differs from the sum over T_i by columns of B, which both tests treat
+    as zero from then on, and taking columns never makes a test stricter.
     So the first admissible block never needs undoing, a level with none
     means no partition exists, and the result is the one a backtracking
     search would return.
 
-    Raises ColumnBudgetExceeded when the column count is above
+    Returns the blocks taken and the columns left at the level where no
+    block was admissible (none when every column was placed).  Raises
+    ColumnBudgetExceeded when the column count is above
     DEFAULT_COLUMN_BUDGET; the subsets tried per level are exponential in
-    the number of columns.  A matrix with no rows never searches (S_0 =
-    everything is immediate), so the budget does not apply there.
+    the number of columns.
     """
-    if m.num_rows == 0:
-        return ColumnsPartition((tuple(range(1, m.num_cols + 1)),))
     if m.num_cols > DEFAULT_COLUMN_BUDGET:
         raise ColumnBudgetExceeded(
             f"{m.num_cols} columns exceeds the search budget of {DEFAULT_COLUMN_BUDGET}"
@@ -181,12 +231,13 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     cols = m.columns()
     remaining = list(range(1, m.num_cols + 1))
     blocks: list[tuple[int, ...]] = []
-    span = _Span()
     while remaining:
         r = len(remaining)
         full = (1 << r) - 1
         bit_cols = [cols[remaining[r - 1 - b] - 1] for b in range(r)]
         total = _vector_sum(bit_cols)
+        zero_sum = test.exact and not blocks
+        contains = test.contains
         # The candidate for complement c is the block full ^ c, whose sum is
         # total - comp[c].  The blocks run down from `full`, so c runs up
         # from 0, and c with its lowest bit cleared is an earlier c: each
@@ -196,23 +247,115 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
             if c:
                 low = bit_cols[(c & -c).bit_length() - 1]
                 comp.append(tuple(map(operator.add, comp[c & (c - 1)], low)))
-            if blocks:
-                if span.contains(tuple(map(operator.sub, total, comp[c]))):
+            if zero_sum:
+                if comp[c] == total:
                     break
-            elif comp[c] == total:
+            elif contains(tuple(map(operator.sub, total, comp[c]))):
                 break
         else:
-            return None
+            return blocks, remaining
         block = [j for i, j in enumerate(remaining) if not c >> (r - 1 - i) & 1]
         blocks.append(tuple(block))
         for j in block:
-            span.add(cols[j - 1])
+            test.add(cols[j - 1])
         remaining = [j for j in remaining if j not in block]
+    return blocks, remaining
+
+
+def columns_property(m: IntMatrix) -> ColumnsPartition | None:
+    """Find an ordered column partition witnessing Rado's criterion, or None.
+
+    Deterministic: returns the first valid partition under lexicographic
+    order on column-label vectors (block membership of low-index columns
+    decided first), found by `_greedy_levels` with the rational span as
+    its test.  A matrix with no rows has all-zero columns in Q^0, so the
+    single block S_0 = all columns always works there.
+
+    Raises ColumnBudgetExceeded when the column count is above
+    DEFAULT_COLUMN_BUDGET.  A matrix with no rows never searches (S_0 =
+    everything is immediate), so the budget does not apply there.
+    """
+    if m.num_rows == 0:
+        return ColumnsPartition((tuple(range(1, m.num_cols + 1)),))
+    blocks, rest = _greedy_levels(m, _Span())
+    if rest:
+        return None
     part = ColumnsPartition(tuple(blocks))
     problems = check_columns_partition(m, part)
     if problems:
         raise SelfCheckFailed(f"unsound partition {part.blocks}: {problems}")
     return part
+
+
+class ModProof(NamedTuple):
+    """A proof that radop-nu:p (c_p composed with Omega) forbids a system.
+
+    `_greedy_levels`, testing block sums mod `prime`, took `blocks` and
+    then found no admissible block among the remaining columns at `level`.
+    A NamedTuple, which builds faster at import than a dataclass.
+    """
+
+    prime: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def level(self) -> int:
+        return len(self.blocks)
+
+
+def mod_proof(m: IntMatrix, primes: Sequence[int]) -> ModProof | None:
+    """The proof for the first prime in `primes` that has one, or None.
+
+    Soundness.  Let y be a solution that c_p composed with Omega colours
+    with one colour.  Omega is completely additive, so z = Omega(y) is a
+    positive solution of A z = 0, and every z_j has the same lowest
+    nonzero base-p digit d.  Group the columns into blocks S_0, S_1, ...
+    by the p-adic valuation of z_j, lowest first.  For an integer phi with
+    phi . a_j = 0 on every earlier block, dividing phi . (A z) = 0 by
+    p^v(S_t) leaves d * phi . sum(S_t) = 0 (mod p): the blocks form a
+    partition that the mod-p test admits level by level.  By the exchange
+    lemma of `_greedy_levels` the loop would then place every column,
+    whatever blocks it took.  So a loop that stops is a proof that the
+    colouring forbids the system.
+
+    The proof is re-checked by `check_mod_proof`.  Raises
+    ColumnBudgetExceeded like `columns_property`.
+    """
+    for p in primes:
+        blocks, rest = _greedy_levels(m, _ModAnnihilator(p, m.num_rows))
+        if rest:
+            proof = ModProof(p, tuple(blocks))
+            problems = check_mod_proof(m, proof)
+            if problems:
+                raise SelfCheckFailed(f"unsound mod-{p} proof {proof.blocks}: {problems}")
+            return proof
+    return None
+
+
+def check_mod_proof(m: IntMatrix, proof: ModProof) -> list[str]:
+    """Re-validate a mod-p proof; empty means it is sound.
+
+    The exchange lemma asks nothing of the blocks taken except that they
+    are disjoint and leave columns over.  Every nonempty subset of the
+    columns left is summed on its own and must fail the mod-p test
+    against the annihilator of the columns taken.
+    """
+    p = proof.prime
+    taken = [j for block in proof.blocks for j in block]
+    rest = [j for j in range(1, m.num_cols + 1) if j not in taken]
+    if not is_prime(p):
+        return [f"{p} is not prime"]
+    if not (all(proof.blocks) and rest and sorted(taken + rest) == list(range(1, m.num_cols + 1))):
+        return ["blocks are empty, overlap, leave no column or name one out of range"]
+    cols = m.columns()
+    test = _ModAnnihilator(p, m.num_rows)
+    for j in taken:
+        test.add(cols[j - 1])
+    for size in range(1, len(rest) + 1):
+        for subset in itertools.combinations(rest, size):
+            if test.contains(_vector_sum(cols[j - 1] for j in subset)):
+                return [f"columns {subset} pass the mod-{p} test at level {proof.level}"]
+    return []
 
 
 def is_partition_regular(m: IntMatrix) -> tuple[bool, ColumnsPartition | None]:
@@ -257,6 +400,11 @@ def rado_colour(p: int, x: int) -> int:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return lowest_digit(p, x)
+
+
+def lowest_digit(p: int, x: int) -> int:
+    """rado_colour without the primality test, for a p checked already."""
     if x < 1:
         raise ValueError("colouring is defined on positive integers")
     while x % p == 0:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .eqsys import ExpSystem
 from .graphs import LinearSystem
-from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, rado_colour
+from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, lowest_digit
 from .witness import (
     Plain,
     Tower,
@@ -124,9 +124,9 @@ def colour_of(spec: ColouringSpec, a: int, b: int = 1, k: int = 0) -> int:
     if isinstance(spec, Mod):
         return pow(a, n, spec.modulus)
     if isinstance(spec, RadoP):
-        return pow(rado_colour(spec.p, a), n, spec.p)
+        return pow(lowest_digit(spec.p, a), n, spec.p)
     if isinstance(spec, RadoPNu):
-        return rado_colour(spec.p, n * prime_omega(a))
+        return lowest_digit(spec.p, n * prime_omega(a))
     if isinstance(spec, OmegaOf):
         return colour_of(spec.base, n * prime_omega(a))
     if isinstance(spec, Table):
@@ -150,7 +150,7 @@ FAIL = "fail"
 CEILING = "ceiling"
 
 DEFAULT_CEILING = 10**6
-# primes whose radop-nu colouring `decide --p auto` tries, in order
+# primes whose mod-p proof `decide --p auto` tries, in order
 AUTO_PRIMES = (2, 3, 5, 7, 11, 13)
 
 

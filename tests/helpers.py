@@ -3,12 +3,14 @@
 Everything here re-derives results through a different code path than the
 package: the brute-force partition search enumerates label vectors, the
 backtracking columns-property search is the one the greedy loop replaced,
-the span test solves an augmented system, and simple cycles come from subset
-enumeration, components from their own breadth-first search, linear
-solutions from a walk over every tuple, colours from each kind's definition
-on the materialized integer, and report text comes from the standard json
-encoder.  Keeping these separate is the point.  The small
-oracles near the end (single equations, progressions, path and pattern
+the span test solves an augmented system, mod-p proofs are checked against
+a p-saturated rational kernel over every ordered partition or every subset
+of the columns left, simple cycles come from subset enumeration,
+components from their own breadth-first search, linear solutions from a
+walk over every tuple, colours from each kind's definition on the
+materialized integer, and report text comes from the standard json
+encoder.  Keeping these separate is the point.  The small oracles near the
+end (single equations, progressions, path and pattern
 helpers) have no caller in the package.
 """
 
@@ -191,6 +193,114 @@ def reference_columns_property(matrix: IntMatrix):
         return None
 
     return extend(list(range(1, matrix.num_cols + 1)), [], [])
+
+
+# ---------------------------------------------------------------------------
+# mod-p proofs of not-PR, from a p-saturated rational kernel
+
+
+def _dependency_mod_p(vectors, p: int):
+    """Coefficients c with first nonzero entry 1 and sum c_i v_i = 0 (mod p),
+    or None, by elimination over F_p with the combinations carried along."""
+    k = len(vectors)
+    dim = len(vectors[0]) if vectors else 0
+    rows = [[x % p for x in v] + [int(i == j) for j in range(k)] for i, v in enumerate(vectors)]
+    rank = 0
+    for col in range(dim):
+        pivot = next((i for i in range(rank, k) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(k):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    if rank == k:
+        return None
+    c = rows[rank][dim:]
+    inv = pow(next(x for x in c if x), -1, p)
+    return [x * inv % p for x in c]
+
+
+def annihilator_mod_p(columns, dim: int, p: int) -> list[tuple[int, ...]]:
+    """Integer vectors whose residues mod p span those of the whole lattice
+    {phi in Z^dim : phi . a = 0 for every given column a}.
+
+    rational_kernel gives an integer basis of the rational annihilator,
+    which can be a sublattice of index divisible by p.  While some
+    combination sum c_i b_i with c_i = 1 vanishes mod p, its p-th part is
+    a lattice vector, and it replaces b_i: the index drops by p, until the
+    residues of the basis are independent.
+    """
+    if not columns:
+        return [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    basis = [list(v) for v in rational_kernel(columns, dim)]
+    while True:
+        c = _dependency_mod_p(basis, p)
+        if c is None:
+            return [tuple(b) for b in basis]
+        i = c.index(1)
+        basis[i] = [sum(ci * b[t] for ci, b in zip(c, basis)) // p for t in range(dim)]
+
+
+def passes_mod_p(annihilator, vec, p: int) -> bool:
+    return all(sum(f * x for f, x in zip(phi, vec)) % p == 0 for phi in annihilator)
+
+
+def brute_mod_p_partition(matrix: IntMatrix, p: int):
+    """An ordered partition whose every block sum passes the mod-p test
+    against the annihilator of the earlier blocks' columns, over all label
+    vectors, or None.  None means radop-nu:p forbids the system."""
+    n, dim = matrix.num_cols, matrix.num_rows
+    cols = matrix.columns()
+    annihilators: dict[frozenset, list] = {}
+    for labels in itertools.product(range(n), repeat=n):
+        used = sorted(set(labels))
+        if used != list(range(len(used))):
+            continue
+        blocks = [tuple(j + 1 for j in range(n) if labels[j] == c) for c in used]
+        taken: frozenset = frozenset()
+        for block in blocks:
+            if taken not in annihilators:
+                earlier = [cols[j - 1] for j in sorted(taken)]
+                annihilators[taken] = annihilator_mod_p(earlier, dim, p)
+            if not passes_mod_p(annihilators[taken], _block_sum(cols, block), p):
+                break
+            taken |= set(block)
+        else:
+            return tuple(blocks)
+    return None
+
+
+def mod_proof_problems(matrix: IntMatrix, proof: dict) -> list[str]:
+    """Check a report's `proof` ({"prime", "level", "blocks"}); empty means sound.
+
+    A monochromatic solution under radop-nu:p groups the columns by the
+    p-adic valuation of Omega(y_j) into blocks that pass the mod-p test
+    level by level.  Whatever disjoint blocks are taken first, the rest of
+    that partition still passes against the columns taken, because those
+    columns are annihilated from then on.  So the proof holds when no
+    nonempty set of the columns left passes against the blocks' columns.
+    """
+    p, blocks = proof["prime"], proof["blocks"]
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        return [f"{p} is not prime"]
+    taken = [j for block in blocks for j in block]
+    if proof["level"] != len(blocks) or not all(blocks) or len(set(taken)) != len(taken):
+        return ["blocks do not match the level, are empty or overlap"]
+    rest = [j for j in range(1, matrix.num_cols + 1) if j not in taken]
+    if not rest or len(rest) + len(taken) != matrix.num_cols:
+        return ["blocks leave no columns or name columns out of range"]
+    cols = matrix.columns()
+    annihilator = annihilator_mod_p([cols[j - 1] for j in taken], matrix.num_rows, p)
+    for size in range(1, len(rest) + 1):
+        for subset in itertools.combinations(rest, size):
+            if passes_mod_p(annihilator, _block_sum(cols, subset), p):
+                return [f"columns {subset} pass the mod-{p} test at level {proof['level']}"]
+    return []
 
 
 # ---------------------------------------------------------------------------

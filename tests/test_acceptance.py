@@ -11,7 +11,7 @@ from pathlib import Path
 
 
 from expreg.cli import build_decision_report
-from expreg.corpus import PANEL, run_experiment, system_corpus
+from expreg.corpus import PANEL, PICK_BOUNDS, run_experiment, system_corpus
 from expreg.dsl import parse_system, print_colouring
 from expreg.eqsys import ExpSystem, normalize
 from expreg.graphs import (
@@ -20,8 +20,9 @@ from expreg.graphs import (
     spanning_forest,
     weak_components,
 )
-from expreg.rado import IntMatrix, is_partition_regular
+from expreg.rado import IntMatrix, is_partition_regular, mod_proof
 from expreg.search import (
+    AUTO_PRIMES,
     PASS,
     RadoPNu,
     eval_exp,
@@ -79,11 +80,12 @@ def test_criterion_01_pr_example():
 
 def test_criterion_02_npr_example():
     start = time.time()
-    report = build_decision_report((FIXTURES / "exp-npr.xps").read_text())
+    report = build_decision_report((FIXTURES / "exp-npr.xps").read_text(), verify_bound=40)
     ok = report["verdict"] == "not PR"
     ok = ok and report["linear_system"]["rows"] == [[2, -1]]
     cert = report["certificate"]
     ok = ok and cert["colouring"] == "radop-nu:3" and cert["prime"] == 3
+    ok = ok and cert["proof"] == {"prime": 3, "level": 0, "blocks": []}
     ver = cert["verification"]
     ok = ok and ver["var_bound"] == 40 and ver["ceiling"] == 10**6
     ok = ok and ver["outcome"] == "exhausted-no-solution"
@@ -311,3 +313,20 @@ def test_criterion_10_end_to_end_consistency():
         time.time() - start,
         detail,
     )
+
+
+def test_corpus_check_refutes_the_old_bounded_search_picks():
+    # default-seed systems 3, 56 and 76 got radop-nu:2 when the first prime
+    # whose bounded search came up empty was certified; a lifted witness is
+    # monochromatic under it, which run_experiment now counts as a hard
+    # failure, while the prime their proof picks admits none
+    systems = system_corpus(76)
+    for index in (3, 56, 76):
+        sys_, _ = normalize(systems[index - 1])
+        lin = build_linear_system(sys_)
+        pick = PICK_BOUNDS[sys_.num_vertices + sys_.num_y]
+        assert search_exp(sys_, RadoPNu(2), pick, 10**6).exhausted
+        assert search_witnesses(lin, RadoPNu(2)) is not None
+        proof = mod_proof(lin.matrix, AUTO_PRIMES)
+        assert proof.prime > 2
+        assert search_witnesses(lin, RadoPNu(proof.prime)) is None

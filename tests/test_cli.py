@@ -9,9 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 
 import expreg.cli
+from expreg import search
 from expreg.cli import _dump_json, build_decision_report
+from expreg.dsl import parse_system
+from expreg.eqsys import normalize
+from expreg.rado import IntMatrix
+from expreg.search import AUTO_PRIMES
 
-from helpers import FIXTURES, GOLDEN, REPO_ROOT, SCHEMA, json_trees, reference_dump_json
+from helpers import (
+    FIXTURES,
+    GOLDEN,
+    REPO_ROOT,
+    SCHEMA,
+    brute_mod_p_partition,
+    json_trees,
+    mod_proof_problems,
+    reference_dump_json,
+)
 
 
 def _schema():
@@ -34,16 +48,21 @@ class TestDecide:
         for name in ("exp-pr.xps", "exp-npr.xps"):
             _, out, _ = run_cli("decide", fixture_path(name), "--witness", "--json")
             jsonschema.validate(json.loads(out), schema)
+        _, out, _ = run_cli("decide", fixture_path("exp-npr.xps"), "--verify-bound", "9", "--json")
+        jsonschema.validate(json.loads(out), schema)
 
     def test_npr_report_content(self, run_cli, fixture_path):
-        _, out, _ = run_cli("decide", fixture_path("exp-npr.xps"), "--json")
+        _, out, _ = run_cli("decide", fixture_path("exp-npr.xps"), "--verify-bound", "40", "--json")
         report = json.loads(out)
         assert report["verdict"] == "not PR"
         assert report["linear_system"]["rows"] == [[2, -1]]
         cert = report["certificate"]
         assert cert["colouring"] == "radop-nu:3"
         assert cert["prime"] == 3
+        assert cert["proof"] == {"prime": 3, "level": 0, "blocks": []}
+        assert cert["verification"]["type"] == "empirical-cross-check"
         assert cert["verification"]["var_bound"] == 40
+        assert cert["verification"]["outcome"] == "exhausted-no-solution"
 
     def test_decide_is_deterministic(self, run_cli, fixture_path):
         runs = {
@@ -95,6 +114,7 @@ class TestDecide:
         code, out, err = run_cli("decide", fixture_path("exp-npr.xps"), "--p", "2")
         assert code == 2
         assert out == ""
+        assert err.startswith("error: no candidate prime in [2] proves")
         assert "refusing to guess" in err
 
     def test_empty_verify_lattice_is_an_error(self, run_cli, fixture_path):
@@ -215,6 +235,77 @@ def test_decide_witness_analyses_the_system_once(run_cli, tmp_path, monkeypatch,
     report = json.loads(out)
     assert report["witness"]["verified"] is True
     assert counts == dict.fromkeys(ONE_PASS, 1)
+
+
+FOUR_VARIABLES = (
+    "system 4\neq X1 ^ Y1*Y2 = X2\neq X2 ^ Y3 = X3\neq X3 ^ Y4^-1 = X1\neq X4 ^ Y1^2 = X4\n"
+)
+
+
+class TestProofFirst:
+    def test_four_variable_system_is_proved_without_a_search(self, run_cli, tmp_path, monkeypatch):
+        # the exhaustive search on this system runs for minutes at the old
+        # default bound of 40; the proof needs none
+        doc = tmp_path / "four.xps"
+        doc.write_text(FOUR_VARIABLES)
+        counts = _count_calls(monkeypatch, ["search.search_exp"])
+        code, out, _ = run_cli("decide", str(doc), "--json")
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert cert["proof"] == {"prime": 3, "level": 2, "blocks": [[2, 4], [3]]}
+        assert counts["search.search_exp"] == 0
+
+    def test_proof_picks_the_prime_the_bounded_search_got_wrong(
+        self, run_cli, fixture_path, monkeypatch
+    ):
+        # radop-nu:2 is empty up to 15 on exp-npr, yet colours (2, 16, 2, 4)
+        # with one colour; the proof picks 3 and the cross-check runs once
+        counts = _count_calls(monkeypatch, ["search.search_exp"])
+        argv = ("decide", fixture_path("exp-npr.xps"), "--verify-bound", "15", "--json")
+        code, out, _ = run_cli(*argv)
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert cert["colouring"] == "radop-nu:3"
+        assert cert["proof"] == {"prime": 3, "level": 0, "blocks": []}
+        assert cert["verification"]["var_bound"] == 15
+        assert counts["search.search_exp"] == 1
+        found = search.search_exp(
+            normalize(parse_system((FIXTURES / "exp-npr.xps").read_text()))[0],
+            search.RadoPNu(2), 16, search.DEFAULT_CEILING,
+        )
+        assert found.assignment == (2, 16, 2, 4)
+
+    def test_cross_check_solution_is_a_defect(self, run_cli, fixture_path, monkeypatch):
+        def found(sys, colouring, var_bound, ceiling):
+            return search.SearchReport(2, var_bound, ceiling, 4, (2, 2, 2, 2), 0)
+
+        monkeypatch.setattr(search, "search_exp", found)
+        code, out, err = run_cli("decide", fixture_path("exp-npr.xps"), "--verify-bound", "9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error: SelfCheckFailed: radop-nu:3 colours (2, 2, 2, 2)")
+        # without the cross-check there is nothing to contradict the proof
+        assert run_cli("decide", fixture_path("exp-npr.xps"))[0] == 1
+
+    def test_bench_corpus_default_decides_never_search(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+        import workloads
+
+        counts = _count_calls(monkeypatch, ["search.search_exp"])
+        verdicts = {"PR": 0, "not PR": 0}
+        for system in workloads.corpus_systems(1):
+            report = build_decision_report(workloads.system_text(system))
+            verdicts[report["verdict"]] += 1
+            lin = report["linear_system"]
+            rows = tuple(map(tuple, lin["rows"]))
+            matrix = IntMatrix(len(rows), lin["num_cols"], rows)
+            if report["verdict"] == "not PR":
+                assert mod_proof_problems(matrix, report["certificate"]["proof"]) == []
+            elif rows:
+                for p in AUTO_PRIMES:
+                    assert brute_mod_p_partition(matrix, p) is not None, (rows, p)
+        assert counts["search.search_exp"] == 0
+        assert verdicts == {"PR": 207, "not PR": 593}
 
 
 class TestOtherCommands:

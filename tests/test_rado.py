@@ -11,17 +11,25 @@ from expreg.rado import (
     ColumnBudgetExceeded,
     ColumnsPartition,
     IntMatrix,
+    ModProof,
     NotPrime,
     SelfCheckFailed,
+    _ModAnnihilator,
     check_columns_partition,
+    check_mod_proof,
     columns_property,
     is_partition_regular,
+    mod_proof,
     rado_colour,
 )
-from expreg.search import RadoP
+from expreg.search import AUTO_PRIMES, RadoP
 
 from helpers import (
+    annihilator_mod_p,
     brute_columns_property,
+    brute_mod_p_partition,
+    mod_proof_problems,
+    passes_mod_p,
     reference_columns_property,
     scale_row,
     search_lin,
@@ -172,6 +180,70 @@ class TestColumnsProperty:
     def test_wide_matrix(self, rows, blocks):
         part = columns_property(IntMatrix.from_rows(rows))
         assert (part.blocks if part else None) == blocks
+
+
+def _proof_json(proof: ModProof) -> dict:
+    return {"prime": proof.prime, "level": proof.level, "blocks": [list(b) for b in proof.blocks]}
+
+
+class TestModProof:
+    def test_doubling_is_proved_mod_3_not_mod_2(self):
+        m = IntMatrix.from_rows([[2, -1]])
+        assert mod_proof(m, (2,)) is None
+        assert mod_proof(m, AUTO_PRIMES) == ModProof(3, ())
+
+    def test_item_10_system_stops_at_level_2(self):
+        # cycle row Y1 + Y2 + Y3 - Y4 and loop row 2*Y1
+        m = IntMatrix.from_rows([[1, 1, 1, -1], [2, 0, 0, 0]])
+        proof = mod_proof(m, AUTO_PRIMES)
+        assert proof == ModProof(3, ((2, 4), (3,)))
+        assert proof.level == 2
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_agrees_with_brute_force_over_ordered_partitions(self, p):
+        # entries up to 4 make columns whose rational kernel basis is a
+        # sublattice of index p, where a weaker test would admit more
+        rng = random.Random(1000 + p)
+        proved = 0
+        for _ in range(250):
+            cols = rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            m = IntMatrix.from_rows(rows)
+            proof = mod_proof(m, (p,))
+            assert (proof is None) == (brute_mod_p_partition(m, p) is not None), rows
+            if proof is not None:
+                proved += 1
+                assert mod_proof_problems(m, _proof_json(proof)) == []
+                assert columns_property(m) is None
+        assert 20 < proved < 230  # both outcomes are well represented
+
+    def test_pr_matrices_are_never_proved(self):
+        rng = random.Random(31)
+        regular = 0
+        for _ in range(300):
+            cols = rng.randint(1, 7)
+            rows = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            m = IntMatrix.from_rows(rows)
+            if columns_property(m) is not None:
+                regular += 1
+                assert all(mod_proof(m, (p,)) is None for p in AUTO_PRIMES), rows
+        assert regular > 50
+
+    def test_annihilator_basis_spans_the_whole_lattice(self):
+        # the rational kernel of (2, 1, 1) scales to (-1, 2, 0) and (-1, 0, 2),
+        # whose residues mod 2 miss (0, 1, -1); the engine's basis does not
+        test = _ModAnnihilator(2, 3)
+        test.add((2, 1, 1))
+        assert not test.contains((0, 1, 0))
+        assert test.contains((0, 1, 1))
+        assert not passes_mod_p(annihilator_mod_p([(2, 1, 1)], 3, 2), (0, 1, 0), 2)
+
+    def test_check_rejects_an_unsound_proof(self):
+        m = IntMatrix.from_rows([[1, 1, -1]])
+        assert check_mod_proof(m, ModProof(3, ())) != []
+        assert mod_proof_problems(m, _proof_json(ModProof(3, ()))) != []
+        assert check_mod_proof(m, ModProof(4, ())) == ["4 is not prime"]
+        assert check_mod_proof(m, ModProof(3, ((1, 2, 3),))) != []
 
 
 class TestSingleEquationOracle:

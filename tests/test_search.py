@@ -11,7 +11,8 @@ from expreg.corpus import system_corpus
 from expreg.dsl import parse_system
 from expreg.graphs import build_linear_system
 from expreg.eqsys import Edge, ExpSystem, normalize
-from expreg.rado import IntMatrix, SelfCheckFailed
+import expreg.rado
+from expreg.rado import IntMatrix, NotPrime, SelfCheckFailed
 from expreg.search import (
     CEILING,
     FAIL,
@@ -479,6 +480,18 @@ def test_search_witnesses_raises_on_uncoloured_towers():
             "rado.columns_property(IntMatrix.from_rows([[1, 1, -1]]))",
         ),
         ("pass", "rado._vector_sum([])"),
+        pytest.param(
+            "rado.check_mod_proof = lambda m, proof: ['broken']",
+            "rado.mod_proof(IntMatrix.from_rows([[2, -1]]), (3,))",
+            id="mod-proof",
+        ),
+        pytest.param(
+            "import expreg.cli as cli\n"
+            "s.search_exp = lambda *a: s.SearchReport(2, 9, 9, 4, (2,) * 4, 0)",
+            "cli.build_decision_report("
+            "'system 2\\neq X1 ^ Y1^2 = X2\\neq X1 ^ Y2 = X2\\n', verify_bound=9)",
+            id="cross-check-solution",
+        ),
     ],
 )
 def test_self_checks_survive_optimize_flag(patch, call):
@@ -501,3 +514,25 @@ def test_self_checks_survive_optimize_flag(patch, call):
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
     )
     assert proc.stdout == "raised\n", proc.stderr
+
+
+def test_digit_colourings_do_not_retest_the_prime(monkeypatch):
+    # RadoP and RadoPNu check p when built, so colouring a range does not;
+    # the public rado_colour still checks
+    calls = []
+    original = expreg.rado.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    spec, digit = RadoPNu(5), RadoP(3)
+    monkeypatch.setattr(expreg.rado, "is_prime", counted)
+    monkeypatch.setattr(expreg.search, "is_prime", counted)
+    classes = expreg.search._colour_classes(spec, 2, 200)
+    assert sum(map(len, classes.values())) == 199
+    assert expreg.search._colour_classes(digit, 1, 50)
+    assert calls == []
+    with pytest.raises(NotPrime):
+        expreg.rado.rado_colour(4, 9)
+    assert calls == [4]

@@ -14,7 +14,6 @@ from .witness import (
     Witness,
     find_positive_solution,
     lift,
-    nu_squared_reduce,
     prime_omega,
     verify_witness,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_partition_regular",
     "lift",
     "normalize",
-    "nu_squared_reduce",
     "prime_omega",
     "rado_colour",
     "validate",

@@ -1,9 +1,12 @@
 """Multigraph structure of a system: components, spanning forest, cycle basis.
 
-`build_linear_system` is the one analysis of a normalized system: from one
-spanning forest, the chords give the cycle rows of the linear side and one
-walk gives the components and the order in which tower levels are summed.
-Later stages read that result instead of recomputing any of it.
+`build_linear_system` is the one analysis of a normalized system.  It takes
+one spanning forest and walks it once; the walk gives the components and
+the order in which tower levels are summed.  Each chord's cycle is one
+climb from its endpoints up the walk's parent pointers, and its row sums
+only the nonzero terms of the edges on that cycle, so a row costs the
+path's length times their nonzero terms.  Later stages read that result
+instead of recomputing any of it.
 
 Edge indices are 1-based throughout, matching vertex numbering.  A signed
 step (e, +1) traverses edge e from tail to head, (e, -1) the other way.
@@ -11,24 +14,11 @@ step (e, +1) traverses edge e from tail to head, (e, -1) the other way.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .eqsys import ExpSystem
 from .rado import IntMatrix
-
-
-class VerticesDisconnected(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SignedPath:
-    """A walk through the underlying undirected multigraph."""
-
-    steps: tuple[tuple[int, int], ...]
-    start: int
-    end: int
 
 
 @dataclass(frozen=True)
@@ -49,16 +39,6 @@ class LinearSystem:
     system: ExpSystem
     walk: list[tuple[int, tuple[int, int] | None]]
     reps: dict[int, int]
-
-
-def _adjacency(sys: ExpSystem, forest: tuple[int, ...]):
-    """vertex -> [(neighbour, forest edge index, sign when leaving vertex)]."""
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, sys.num_vertices + 1)}
-    for idx in forest:
-        e = sys.edges[idx - 1]
-        adj[e.tail].append((e.head, idx, +1))
-        adj[e.head].append((e.tail, idx, -1))
-    return adj
 
 
 def weak_components(sys: ExpSystem) -> list[list[int]]:
@@ -120,7 +100,12 @@ def forest_walk(
     step (edge, sign) that leads from the parent to it.  One pass over the
     forest adjacency, built once: O(V + E).
     """
-    adj = _adjacency(sys, forest)
+    # vertex -> [(neighbour, forest edge index, sign when leaving vertex)]
+    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, sys.num_vertices + 1)}
+    for idx in forest:
+        e = sys.edges[idx - 1]
+        adj[e.tail].append((e.head, idx, +1))
+        adj[e.head].append((e.tail, idx, -1))
     seen = [False] * (sys.num_vertices + 1)
     order: list[tuple[int, tuple[int, int] | None]] = []
     for root in range(1, sys.num_vertices + 1):
@@ -139,45 +124,51 @@ def forest_walk(
     return order
 
 
-def tree_path(sys: ExpSystem, forest: tuple[int, ...], start: int, end: int) -> SignedPath:
-    """The unique forest path from start to end.
+def parent_table(sys: ExpSystem, walk: list[tuple[int, tuple[int, int] | None]]):
+    """vertex -> (parent, signed step from the parent, depth), read off a
+    forest walk; a root is its own parent, with step None and depth 0."""
+    table: list = [None] * (sys.num_vertices + 1)
+    for v, step in walk:
+        if step is None:
+            table[v] = (v, None, 0)
+        else:
+            idx, sign = step
+            e = sys.edges[idx - 1]
+            parent = e.tail if sign > 0 else e.head
+            table[v] = (parent, step, table[parent][2] + 1)
+    return table
 
-    Raises VerticesDisconnected when the endpoints lie in different weak
-    components.
+
+def tree_path(table: list, start: int, end: int) -> tuple[tuple[int, int], ...]:
+    """The signed steps of the unique forest path from start to end.
+
+    Both endpoints climb the parent table, the deeper one first, until they
+    meet; they must lie in one weak component.  Costs the path's length.
     """
-    adj = _adjacency(sys, forest)
-    if start == end:
-        return SignedPath((), start, end)
-    back: dict[int, tuple[int, int, int]] = {}  # vertex -> (previous vertex, edge, sign)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        u = queue.popleft()
-        if u == end:
-            break
-        for w, idx, sign in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                back[w] = (u, idx, sign)
-                queue.append(w)
-    if end not in back:
-        raise VerticesDisconnected(f"no path between {start} and {end}")
-    steps = []
-    v = end
-    while v != start:
-        u, idx, sign = back[v]
-        steps.append((idx, sign))
-        v = u
-    steps.reverse()
-    return SignedPath(tuple(steps), start, end)
+    up: list[tuple[int, int]] = []
+    down: list[tuple[int, int]] = []
+    while start != end:
+        if table[start][2] >= table[end][2]:
+            start, (idx, sign), _ = table[start]
+            up.append((idx, -sign))
+        else:
+            end, step, _ = table[end]
+            down.append(step)
+    down.reverse()
+    return tuple(up + down)
 
 
-def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...]) -> list[SignedCycle]:
-    """One cycle per non-forest edge: the edge forward, then the forest path back.
+def fundamental_cycles(
+    sys: ExpSystem, walk: list[tuple[int, tuple[int, int] | None]]
+) -> list[SignedCycle]:
+    """One cycle per edge outside the walk's forest: the edge forward, then
+    the forest path back.
 
-    Loops become singleton cycles.
+    Loops become singleton cycles.  The parent table is built only when
+    some non-loop edge needs a path, so loops alone cost no table.
     """
-    in_forest = set(forest)
+    in_forest = {step[0] for _, step in walk if step is not None}
+    table = None
     cycles = []
     for idx, e in enumerate(sys.edges, start=1):
         if idx in in_forest:
@@ -185,19 +176,10 @@ def fundamental_cycles(sys: ExpSystem, forest: tuple[int, ...]) -> list[SignedCy
         if e.tail == e.head:
             cycles.append(SignedCycle(((idx, +1),)))
         else:
-            back = tree_path(sys, forest, e.head, e.tail)
-            cycles.append(SignedCycle(((idx, +1),) + back.steps))
+            if table is None:
+                table = parent_table(sys, walk)
+            cycles.append(SignedCycle(((idx, +1),) + tree_path(table, e.head, e.tail)))
     return cycles
-
-
-def cycle_edge_sum(sys: ExpSystem, cycle: SignedCycle) -> tuple[int, ...]:
-    """Signed sum of the coefficient vectors along the cycle's step order."""
-    total = [0] * sys.num_y
-    for idx, sign in cycle.steps:
-        e = sys.edges[idx - 1]
-        for i, c in enumerate(e.coeffs):
-            total[i] += sign * c
-    return tuple(total)
 
 
 def build_linear_system(sys: ExpSystem) -> LinearSystem:
@@ -212,14 +194,23 @@ def build_linear_system(sys: ExpSystem) -> LinearSystem:
     """
     forest = spanning_forest(sys)
     walk = forest_walk(sys, forest)
-    cycles = fundamental_cycles(sys, forest)
+    cycles = fundamental_cycles(sys, walk) if len(forest) < len(sys.edges) else []
+    terms: dict[int, list[tuple[int, int]]] = {}  # edge -> its nonzero (column, coefficient)
     rows = []
     for cyc in cycles:
-        s = cycle_edge_sum(sys, cyc)
         first = sys.edges[cyc.steps[0][0] - 1]
         if first.tail == first.head:
-            rows.append(s)
-        else:
-            rows.append(tuple(-v for v in s))
+            rows.append(first.coeffs)
+            continue
+        row = [0] * sys.num_y
+        for idx, sign in cyc.steps:
+            nonzero = terms.get(idx)
+            if nonzero is None:
+                coeffs = sys.edges[idx - 1].coeffs
+                columns = compress(range(len(coeffs)), coeffs)
+                nonzero = terms[idx] = [(i, coeffs[i]) for i in columns]
+            for i, c in nonzero:
+                row[i] -= sign * c
+        rows.append(tuple(row))
     matrix = IntMatrix(len(rows), sys.num_y, tuple(rows))
     return LinearSystem(matrix, tuple(cycles), sys, walk, component_map(walk))

@@ -17,16 +17,12 @@ import operator
 from dataclasses import dataclass
 from itertools import compress
 
-from .eqsys import Edge, ExpSystem
-from .graphs import LinearSystem, build_linear_system
+from .eqsys import ExpSystem
+from .graphs import LinearSystem
 from .rado import IntMatrix, SelfCheckFailed, is_prime
 
 
 class NotASolution(ValueError):
-    pass
-
-
-class NotNormalized(ValueError):
     pass
 
 
@@ -271,50 +267,3 @@ def verify_witness(sys: ExpSystem, w: Witness) -> bool:
         if w.k[e.tail - 1] + step != w.k[e.head - 1]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# reduction direction
-
-
-def nu_squared_reduce(sys: ExpSystem) -> IntMatrix:
-    """Derive the linear system by formally applying the prime-factor count twice.
-
-    Each edge contributes coeffs . omega(Y) = omega^2(X_head) - omega^2(X_tail)
-    (both sides exceed 1 on a normalized system, so the double application is
-    legal).  Summing signed edge relations around each basis cycle must cancel
-    every X-term exactly, leaving a Y-row; the result is checked entry-for-entry
-    against the direct cycle construction before it is returned.
-    """
-    if any(e.is_identity() for e in sys.edges):
-        raise NotNormalized("identity equations present; normalize first")
-
-    ny, nx = sys.num_y, sys.num_vertices
-
-    def edge_relation(e: Edge) -> list[int]:
-        row = list(e.coeffs) + [0] * nx
-        row[ny + e.tail - 1] += 1
-        row[ny + e.head - 1] -= 1
-        return row
-
-    lin = build_linear_system(sys)
-    rows = []
-    for cyc in lin.cycles:
-        combined = [0] * (ny + nx)
-        first = sys.edges[cyc.steps[0][0] - 1]
-        # same orientation as build_linear_system: loops forward, chord
-        # cycles along the forest path
-        flip = -1 if first.tail != first.head else 1
-        for idx, sign in cyc.steps:
-            rel = edge_relation(sys.edges[idx - 1])
-            for i, v in enumerate(rel):
-                combined[i] += flip * sign * v
-        x_part = combined[ny:]
-        if any(x_part):
-            raise SelfCheckFailed(f"X-terms failed to cancel around cycle {cyc}: {x_part}")
-        rows.append(tuple(combined[:ny]))
-
-    matrix = IntMatrix(len(rows), ny, tuple(rows))
-    if matrix != lin.matrix:
-        raise SelfCheckFailed("reduction disagrees with the direct construction")
-    return matrix

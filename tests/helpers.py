@@ -6,7 +6,9 @@ backtracking columns-property search is the one the greedy loop replaced,
 the span test solves an augmented system, mod-p proofs are checked against
 a p-saturated rational kernel over every ordered partition or every subset
 of the columns left, simple cycles come from subset enumeration,
-components from their own breadth-first search, linear solutions from a
+components from their own breadth-first search, forest paths from one
+breadth-first search per path, cycle rows from dense sums along those paths
+and from the prime-factor count's edge relations, linear solutions from a
 walk over every tuple, colours from each kind's definition on the
 materialized integer, and report text comes from the standard json
 encoder.  Keeping these separate is the point.  The small oracles near the
@@ -22,6 +24,7 @@ import math
 import operator
 import random
 from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from expreg.corpus import DEFAULT_SEED, random_system
 from expreg.eqsys import Edge, ExpSystem
-from expreg.graphs import SignedPath, spanning_forest, tree_path
+from expreg.graphs import build_linear_system, spanning_forest
 from expreg.rado import IntMatrix, SelfCheckFailed
 from expreg.search import (
     CEILING,
@@ -382,7 +385,7 @@ def simple_paths(sys: ExpSystem, start: int, end: int):
 
 
 # ---------------------------------------------------------------------------
-# components by breadth-first search, per-vertex forest paths
+# components and forest paths by breadth-first search, cycle rows by dense sums
 
 
 def reference_weak_components(sys: ExpSystem) -> list[list[int]]:
@@ -413,6 +416,139 @@ def reference_weak_components(sys: ExpSystem) -> list[list[int]]:
     return blocks
 
 
+@dataclass(frozen=True)
+class SignedPath:
+    """A walk through the underlying undirected multigraph."""
+
+    steps: tuple[tuple[int, int], ...]
+    start: int
+    end: int
+
+
+def _adjacency(sys: ExpSystem, forest: tuple[int, ...]):
+    """vertex -> [(neighbour, forest edge index, sign when leaving vertex)]."""
+    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, sys.num_vertices + 1)}
+    for idx in forest:
+        e = sys.edges[idx - 1]
+        adj[e.tail].append((e.head, idx, +1))
+        adj[e.head].append((e.tail, idx, -1))
+    return adj
+
+
+def reference_tree_path(sys: ExpSystem, forest: tuple[int, ...], start: int, end: int) -> SignedPath:
+    """The unique forest path from start to end, by its own breadth-first
+    search over a freshly built forest adjacency.
+
+    Raises ValueError when the endpoints lie in different weak components.
+    """
+    adj = _adjacency(sys, forest)
+    if start == end:
+        return SignedPath((), start, end)
+    back: dict[int, tuple[int, int, int]] = {}  # vertex -> (previous vertex, edge, sign)
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        u = queue.popleft()
+        if u == end:
+            break
+        for w, idx, sign in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                back[w] = (u, idx, sign)
+                queue.append(w)
+    if end not in back:
+        raise ValueError(f"no path between {start} and {end}")
+    steps = []
+    v = end
+    while v != start:
+        u, idx, sign = back[v]
+        steps.append((idx, sign))
+        v = u
+    steps.reverse()
+    return SignedPath(tuple(steps), start, end)
+
+
+def reference_cycles(sys: ExpSystem) -> list[tuple[tuple[int, int], ...]]:
+    """The steps of each basis cycle of the package's spanning forest, in edge
+    order: a loop alone, or a chord forward and then the breadth-first
+    forest path from its head back to its tail."""
+    forest = spanning_forest(sys)
+    in_forest = set(forest)
+    cycles = []
+    for idx, e in enumerate(sys.edges, start=1):
+        if idx in in_forest:
+            continue
+        back = () if e.tail == e.head else reference_tree_path(sys, forest, e.head, e.tail).steps
+        cycles.append(((idx, +1),) + back)
+    return cycles
+
+
+def _row_flip(sys: ExpSystem, steps) -> int:
+    # the package's row orientation: loops forward, chord cycles along the
+    # forest path, which is against the stored steps
+    first = sys.edges[steps[0][0] - 1]
+    return 1 if first.tail == first.head else -1
+
+
+def reference_linear_system(sys: ExpSystem) -> tuple[IntMatrix, list[tuple[tuple[int, int], ...]]]:
+    """The cycle rows and cycle steps `build_linear_system` must return, each
+    row a dense signed sum of every coefficient of every edge on its cycle."""
+    cycles = reference_cycles(sys)
+    rows = []
+    for steps in cycles:
+        flip = _row_flip(sys, steps)
+        total = [0] * sys.num_y
+        for idx, sign in steps:
+            for i, c in enumerate(sys.edges[idx - 1].coeffs):
+                total[i] += flip * sign * c
+        rows.append(tuple(total))
+    return IntMatrix(len(rows), sys.num_y, tuple(rows)), cycles
+
+
+class NotNormalized(ValueError):
+    pass
+
+
+def nu_squared_reduce(sys: ExpSystem) -> IntMatrix:
+    """Derive the linear system by formally applying the prime-factor count twice.
+
+    Each edge contributes coeffs . omega(Y) = omega^2(X_head) - omega^2(X_tail)
+    (both sides exceed 1 on a normalized system, so the double application is
+    legal).  Summing signed edge relations around each basis cycle of
+    `reference_cycles` must cancel every X-term exactly, leaving a Y-row; the
+    result is checked entry-for-entry against the package's direct cycle
+    construction before it is returned.
+    """
+    if any(e.is_identity() for e in sys.edges):
+        raise NotNormalized("identity equations present; normalize first")
+
+    ny, nx = sys.num_y, sys.num_vertices
+
+    def edge_relation(e: Edge) -> list[int]:
+        row = list(e.coeffs) + [0] * nx
+        row[ny + e.tail - 1] += 1
+        row[ny + e.head - 1] -= 1
+        return row
+
+    rows = []
+    for steps in reference_cycles(sys):
+        combined = [0] * (ny + nx)
+        flip = _row_flip(sys, steps)
+        for idx, sign in steps:
+            rel = edge_relation(sys.edges[idx - 1])
+            for i, v in enumerate(rel):
+                combined[i] += flip * sign * v
+        x_part = combined[ny:]
+        if any(x_part):
+            raise SelfCheckFailed(f"X-terms failed to cancel around cycle {steps}: {x_part}")
+        rows.append(tuple(combined[:ny]))
+
+    matrix = IntMatrix(len(rows), ny, tuple(rows))
+    if matrix != build_linear_system(sys).matrix:
+        raise SelfCheckFailed("reduction disagrees with the direct construction")
+    return matrix
+
+
 def path_weight(sys: ExpSystem, path: SignedPath, z: tuple[int, ...]) -> int:
     """Signed sum of coefficient-vector dot products along the path."""
     total = 0
@@ -428,7 +564,7 @@ def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
     forest = spanning_forest(sys)
     reps = {v: block[0] for block in reference_weak_components(sys) for v in block}
     return tuple(
-        path_weight(sys, tree_path(sys, forest, reps[v], v), z)
+        path_weight(sys, reference_tree_path(sys, forest, reps[v], v), z)
         for v in range(1, sys.num_vertices + 1)
     )
 

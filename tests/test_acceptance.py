@@ -16,6 +16,7 @@ from expreg.dsl import parse_system, print_colouring
 from expreg.eqsys import ExpSystem, normalize
 from expreg.graphs import (
     build_linear_system,
+    forest_walk,
     fundamental_cycles,
     spanning_forest,
     weak_components,
@@ -34,7 +35,6 @@ from expreg.search import (
 from expreg.witness import (
     find_positive_solution,
     lift,
-    nu_squared_reduce,
     prime_omega,
     tower_to_int,
     verify_witness,
@@ -43,6 +43,7 @@ from expreg.witness import (
 from helpers import (
     find_progression,
     iter_systems,
+    nu_squared_reduce,
     reference_colour,
     simple_cycle_rows,
     single_equation_oracle,
@@ -235,7 +236,7 @@ def test_criterion_08_cycle_space():
                 for _ in range(m)
             ],
         )
-        basis = fundamental_cycles(sys, spanning_forest(sys))
+        basis = fundamental_cycles(sys, forest_walk(sys, spanning_forest(sys)))
         expected = len(sys.edges) - sys.num_vertices + len(weak_components(sys))
         if len(basis) != expected:
             bad += 1

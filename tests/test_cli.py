@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 import expreg.cli
 from expreg import search
 from expreg.cli import _dump_json, build_decision_report
-from expreg.dsl import parse_system
-from expreg.eqsys import normalize
+from expreg.dsl import parse_system, print_system
+from expreg.eqsys import ExpSystem, normalize
 from expreg.rado import IntMatrix
 from expreg.search import AUTO_PRIMES
 
@@ -306,6 +306,63 @@ class TestProofFirst:
                     assert brute_mod_p_partition(matrix, p) is not None, (rows, p)
         assert counts["search.search_exp"] == 0
         assert verdicts == {"PR": 207, "not PR": 593}
+
+
+def _path_with_chords(n, chords, seed):
+    """A path X1 -> ... -> Xn, then chords between distinct random vertices;
+    every edge has 1-3 nonzero coefficients in -2..2."""
+    rng = random.Random(seed)
+
+    def coeffs():
+        c = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, 3)):
+            c[j] = rng.choice((-2, -1, 1, 2))
+        return c
+
+    edges = [(v, v + 1, coeffs()) for v in range(1, n)]
+    edges += [(*rng.sample(range(1, n + 1), 2), coeffs()) for _ in range(chords)]
+    return edges
+
+
+class TestLongCycles:
+    # 2,000 vertices and 200 chords whose cycles run along the path
+    N, CHORDS = 2000, 200
+
+    @pytest.fixture(scope="class")
+    def long_cycles(self, tmp_path_factory):
+        edges = _path_with_chords(self.N, self.CHORDS, seed=2000)
+        path = tmp_path_factory.mktemp("long") / "long-cycles.xps"
+        path.write_text(print_system(ExpSystem.square(self.N, edges)))
+        return path, edges
+
+    def test_linearize_rows_match_potentials(self, run_cli, long_cycles):
+        # with S(v) the sum of c . z along the path up to v, the row of a
+        # chord (tail, head, c) takes z to S(head) - S(tail) - c . z
+        path, edges = long_cycles
+        code, out, _ = run_cli("linearize", path, "--json")
+        assert code == 0
+        lin = json.loads(out)
+        rng = random.Random(7)
+        z = [rng.randint(1, 9) for _ in range(self.N)]
+
+        def dot(c):
+            return sum(a * b for a, b in zip(c, z))
+
+        potential = [0, 0]
+        for _, _, c in edges[: self.N - 1]:
+            potential.append(potential[-1] + dot(c))
+        assert lin["num_cols"] == self.N and len(lin["rows"]) == self.CHORDS
+        chords = enumerate(edges[self.N - 1 :], start=self.N)
+        for (idx, (tail, head, c)), row, cycle in zip(chords, lin["rows"], lin["cycles"]):
+            assert dot(row) == potential[head] - potential[tail] - dot(c)
+            assert cycle[0] == [idx, 1]
+            lo, hi = sorted((tail, head))
+            assert sorted(step[0] for step in cycle[1:]) == list(range(lo, hi))
+
+    def test_decide_is_over_the_column_budget(self, run_cli, long_cycles):
+        code, _, err = run_cli("decide", long_cycles[0])
+        assert code == 2
+        assert f"{self.N} columns exceeds the search budget of 12" in err
 
 
 class TestOtherCommands:

@@ -1,23 +1,23 @@
 import random
 
-import pytest
-
 from expreg.eqsys import ExpSystem
 from expreg.graphs import (
-    SignedPath,
-    VerticesDisconnected,
     build_linear_system,
     component_map,
     forest_walk,
     fundamental_cycles,
+    parent_table,
     spanning_forest,
     tree_path,
     weak_components,
 )
 
 from helpers import (
+    SignedPath,
     path_weight,
     rational_kernel,
+    reference_linear_system,
+    reference_tree_path,
     reference_weak_components,
     simple_cycle_rows,
     simple_paths,
@@ -31,6 +31,10 @@ def _sys(n, edges):
 
 def _zero(n):
     return [0] * n
+
+
+def _walk(s):
+    return forest_walk(s, spanning_forest(s))
 
 
 class TestWeakComponents:
@@ -74,18 +78,18 @@ class TestSpanningForest:
 class TestFundamentalCycles:
     def test_triangle(self):
         s = _sys(3, [(1, 2, _zero(3)), (2, 3, _zero(3)), (1, 3, _zero(3))])
-        cycles = fundamental_cycles(s, spanning_forest(s))
+        cycles = fundamental_cycles(s, _walk(s))
         assert len(cycles) == 1
         assert cycles[0].steps == ((3, 1), (2, -1), (1, -1))
 
     def test_parallel(self):
         s = _sys(2, [(1, 2, [1, 0]), (1, 2, [0, 1])])
-        (cycle,) = fundamental_cycles(s, spanning_forest(s))
+        (cycle,) = fundamental_cycles(s, _walk(s))
         assert cycle.steps == ((2, 1), (1, -1))
 
     def test_loop(self):
         s = _sys(1, [(1, 1, [2])])
-        (cycle,) = fundamental_cycles(s, spanning_forest(s))
+        (cycle,) = fundamental_cycles(s, _walk(s))
         assert cycle.steps == ((1, 1),)
 
 
@@ -123,19 +127,32 @@ class TestForestWalk:
 
 
 class TestTreePath:
+    # the breadth-first reference that the parent-pointer climb must match
     def test_path_graph_reversed(self):
         s = _sys(3, [(1, 2, _zero(3)), (2, 3, _zero(3))])
         forest = spanning_forest(s)
-        assert tree_path(s, forest, 3, 1).steps == ((2, -1), (1, -1))
+        assert reference_tree_path(s, forest, 3, 1).steps == ((2, -1), (1, -1))
 
     def test_same_endpoints(self):
         s = _sys(2, [(1, 2, _zero(2))])
-        assert tree_path(s, spanning_forest(s), 2, 2).steps == ()
+        assert reference_tree_path(s, spanning_forest(s), 2, 2).steps == ()
 
-    def test_disconnected(self):
-        s = _sys(3, [(1, 2, _zero(3))])
-        with pytest.raises(VerticesDisconnected):
-            tree_path(s, spanning_forest(s), 1, 3)
+
+def test_tree_path_matches_breadth_first_search():
+    # every ordered pair of vertices in one component, start = end included
+    rng = random.Random(2718)
+    pairs = 0
+    for _ in range(150):
+        s = _random_multigraph(rng, 12, 16)
+        forest = spanning_forest(s)
+        table = parent_table(s, forest_walk(s, forest))
+        for block in reference_weak_components(s):
+            for start in block:
+                for end in block:
+                    expected = reference_tree_path(s, forest, start, end).steps
+                    assert tree_path(table, start, end) == expected
+                    pairs += start != end
+    assert pairs > 1000
 
 
 class TestPathWeight:
@@ -188,11 +205,36 @@ def _random_multigraph(rng, max_vertices, max_edges):
     return ExpSystem.square(n, edges)
 
 
+def test_linear_system_matches_dense_reference():
+    # coefficient vectors are often reused or zero, so parallel edges and
+    # loops give zero rows; systems have several components
+    rng = random.Random(31415)
+    seen = {"loop": 0, "parallel": 0, "zero row": 0, "components": 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)] + [(0,) * n]
+        edges = [
+            (rng.randint(1, n), rng.randint(1, n), rng.choice(pool))
+            for _ in range(rng.randint(0, 12))
+        ]
+        s = _sys(n, edges)
+        matrix, cycles = reference_linear_system(s)
+        lin = build_linear_system(s)
+        assert lin.matrix == matrix
+        assert [cyc.steps for cyc in lin.cycles] == cycles
+        ends = [frozenset((t, h)) for t, h, _ in edges]
+        seen["loop"] += any(t == h for t, h, _ in edges)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero row"] += any(not any(row) for row in matrix.entries)
+        seen["components"] += len(reference_weak_components(s)) > 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_cycle_space_rank():
     rng = random.Random(1234)
     for _ in range(150):
         s = _random_multigraph(rng, 8, 16)
-        cycles = fundamental_cycles(s, spanning_forest(s))
+        cycles = fundamental_cycles(s, _walk(s))
         components = len(weak_components(s))
         assert len(cycles) == len(s.edges) - s.num_vertices + components
 

@@ -15,7 +15,6 @@ from expreg.rado import IntMatrix
 from expreg.search import PASS, RadoP, RadoPNu, colour_of, eval_exp
 from expreg.witness import (
     NotASolution,
-    NotNormalized,
     Plain,
     SelfCheckFailed,
     Tower,
@@ -23,18 +22,20 @@ from expreg.witness import (
     compute_k,
     find_positive_solution,
     lift,
-    nu_squared_reduce,
     path_sums,
     prime_omega,
     tower_to_int,
     verify_witness,
 )
 
+import helpers
 from helpers import (
     REPO_ROOT,
+    NotNormalized,
     expand_pattern,
     forests_strategy,
     iter_systems,
+    nu_squared_reduce,
     rational_kernel,
     search_lin,
     systems_strategy,
@@ -266,7 +267,7 @@ class TestNuSquaredReduce:
         s = ExpSystem.square(2, [(1, 2, [2, 0]), (1, 2, [0, 1])])
         real = build_linear_system(s)
         skewed = dataclasses.replace(real, matrix=IntMatrix.from_rows([[2, 1]]))
-        monkeypatch.setattr(expreg.witness, "build_linear_system", lambda sys: skewed)
+        monkeypatch.setattr(helpers, "build_linear_system", lambda sys: skewed)
         with pytest.raises(SelfCheckFailed):
             nu_squared_reduce(s)
 

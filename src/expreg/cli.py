@@ -16,23 +16,14 @@ import sys as _sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-from . import dsl, search
+from . import dsl, search, witness
 from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
-from .rado import (
-    ColumnBudgetExceeded,
-    NotPrime,
-    SelfCheckFailed,
-    columns_property,
-    is_prime,
-    mod_proof,
-    rado_colour,
-)
+from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, rado_colour
 from .search import AUTO_PRIMES, DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
-REPORT_VERSION = 2
-DEFAULT_WITNESS_Z_CAP = 256
+REPORT_VERSION = 3
 
 
 class CommandError(RuntimeError):
@@ -169,20 +160,11 @@ def build_decision_report(
             "trivial": lin.matrix.num_rows == 0,
         }
         if want_witness:
-            z = None
-            bound = 4
-            while bound <= DEFAULT_WITNESS_Z_CAP:
-                z = find_positive_solution(lin.matrix, bound)
-                if z is not None:
-                    break
-                bound *= 2
-            if z is None:
-                warnings.append(
-                    "no positive solution of the linear system within bound"
-                    f" {DEFAULT_WITNESS_Z_CAP}; witness omitted"
-                )
+            try:
+                w = lift(lin, find_positive_solution(lin.matrix, part), a, b)
+            except witness.WitnessTooLarge as exc:
+                warnings.append(f"witness omitted: {exc}")
             else:
-                w = lift(lin, z, a, b)
                 warnings.extend(_witness_warnings(lin, w.k))
                 report["witness"] = _witness_json(w)
     else:
@@ -394,20 +376,15 @@ def _read(path: str) -> str:
 
 
 def _cmd_decide(args) -> int:
-    text = _read(args.file)
-    try:
-        report = build_decision_report(
-            text,
-            source=Path(args.file).name,
-            want_witness=args.witness,
-            a=args.a,
-            b=args.b,
-            prime=args.p,
-            verify_bound=args.verify_bound,
-        )
-    except NoPrimeVerified as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+    report = build_decision_report(
+        _read(args.file),
+        source=Path(args.file).name,
+        want_witness=args.witness,
+        a=args.a,
+        b=args.b,
+        prime=args.p,
+        verify_bound=args.verify_bound,
+    )
     _sys.stdout.write(_dump_json(report) if args.json else _render_decision(report))
     return 0 if report["verdict"] == "PR" else 1
 
@@ -433,9 +410,10 @@ def _cmd_witness(args) -> int:
         except ValueError:
             raise CommandError(f"--z expects a comma-separated integer vector, got {args.z!r}")
     else:
-        z = find_positive_solution(lin.matrix, args.z_bound)
-        if z is None:
-            raise CommandError(f"no positive solution within bound {args.z_bound}")
+        part = columns_property(lin.matrix)
+        if part is None:
+            raise CommandError("the system is not partition regular; give a solution with --z")
+        z = find_positive_solution(lin.matrix, part)
     w = lift(lin, z, args.a, args.b)
     z_text, k_text = ",".join(map(str, w.z)), ",".join(map(str, w.k))
     text = f"a={w.a} b={w.b} z=({z_text}) k=({k_text}) verified=True\n"
@@ -526,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="lift a solution of the linear side")
     p.add_argument("file")
-    p.add_argument("--z", help="comma-separated solution vector")
-    p.add_argument("--z-bound", type=int, default=64)
+    p.add_argument("--z", help="comma-separated solution (default: built from the partition)")
     p.add_argument("--a", type=_base, default=2)
     p.add_argument("--b", type=_base, default=2)
     p.add_argument("--json", action="store_true")
@@ -584,7 +561,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (dsl.ParseError, CommandError, ColumnBudgetExceeded, NotPrime, ValueError) as exc:
+    except (CommandError, ValueError) as exc:
+        # dsl.ParseError, ColumnBudgetExceeded and NotPrime are ValueErrors
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:

@@ -1,13 +1,14 @@
 """Certificates for both decision directions.
 
-When the linear side is solvable we lift a solution z to a tower witness
-x_i = a^(b^k_i), y_i = b^(z_i), reading the cycle rows, the forest walk and
-the components from the system's one analysis (`graphs.LinearSystem`); when
-it is not, a forbidding colouring composes a colouring of the linear side
-with the prime-factor count computed here.  Tower equality is always
-decided in the exponents, never by materializing the towers.
-`verify_witness` takes the raw system and does its own arithmetic, so the
-self-check after a lift does not reuse the construction it checks.
+When the linear side has the columns property, its partition gives a
+positive solution z, lifted to a tower witness x_i = a^(b^k_i), y_i = b^(z_i)
+through the cycle rows, forest walk and components of the system's one
+analysis (`graphs.LinearSystem`); when it has not, a forbidding colouring
+composes a colouring of the linear side with the prime-factor count
+computed here.  Tower equality is always decided in the exponents, never
+by materializing the towers.  `verify_witness` takes the raw system and
+does its own arithmetic, so a lift's self-check does not reuse the
+construction it checks.
 """
 
 from __future__ import annotations
@@ -19,11 +20,17 @@ from itertools import compress
 
 from .eqsys import ExpSystem
 from .graphs import LinearSystem
-from .rado import IntMatrix, SelfCheckFailed, is_prime
+from .rado import ColumnsPartition, IntMatrix, SelfCheckFailed, is_prime
+
+MAX_Y_DIGITS = 4300  # CPython's default limit for int <-> str conversion
 
 
 class NotASolution(ValueError):
     pass
+
+
+class WitnessTooLarge(ValueError):
+    """Some y = b^z would have more than MAX_Y_DIGITS decimal digits."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +172,54 @@ def iter_positive_solutions(a: IntMatrix, bound: int):
                 prefix.append(0)
 
 
-def find_positive_solution(a: IntMatrix, bound: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest z in [1, bound]^n with A z = 0, or None."""
-    return next(iter_positive_solutions(a, bound), None)
+def _level_vectors(a: IntMatrix, part: ColumnsPartition) -> list[list[int]]:
+    """Rado's kernel vector v_t for each level t of a columns partition.
+
+    v_t is 1 on S_t minus the coefficients that write the block sum of S_t
+    in the columns of earlier blocks (none for S_0), cleared of denominators
+    and divided by its gcd.  Fraction-free elimination on the rows (a_j, e_j)
+    of [A^T | I] finds them: a row reduced to (0, c) has A c = 0.
+    """
+    m, n = a.num_rows, a.num_cols
+    aug = list(zip(*a.entries, *[(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]))
+    rows, levels = [], []  # rows: (pivot < m, reduced row)
+    for block in part.blocks:
+        cols = [aug[j - 1] for j in block]
+        for i, vec in enumerate([[*map(sum, zip(*cols))], *cols]):
+            for pivot, row in rows:
+                if vec[pivot]:
+                    f, g = row[pivot], vec[pivot]
+                    vec = [f * x - g * y for x, y in zip(vec, row)]
+            g = math.gcd(*vec) if vec[m + block[0] - 1] >= 0 else -math.gcd(*vec)
+            if not i:
+                levels.append([x // g for x in vec[m:]])
+            elif any(vec[:m]):
+                rows.append((next(p for p in range(m) if vec[p]), [x // g for x in vec]))
+    return levels
+
+
+def find_positive_solution(a: IntMatrix, part: ColumnsPartition) -> tuple[int, ...]:
+    """Rado's positive solution of A z = 0, built from a columns partition.
+
+    z sums the level vectors v_t of `_level_vectors` from the last level
+    up, each with the smallest integer weight w_t that makes z positive on
+    S_t (v_s is 0 there for s < t), then is divided by its gcd.  With K
+    the largest |entry| of any v_t and L levels, |w_t| <= (K + 1)^(L-1-t),
+    so every entry of z is below (K + 1)^L.  One level (as with no rows) gives
+    z = (1, ..., 1).  Raises SelfCheckFailed unless z > 0 and A z = 0.
+    """
+    z = [1] * a.num_cols
+    if len(part.blocks) > 1:
+        z = [0] * a.num_cols
+        for block, v in zip(reversed(part.blocks), reversed(_level_vectors(a, part))):
+            w = max([-((z[j - 1] - 1) // v[j - 1]) for j in block])
+            z = [x + w * y for x, y in zip(z, v)]
+        g = math.gcd(*z)
+        z = [x // g for x in z]
+    z = tuple(z)
+    if min(z) < 1 or any([sum(map(operator.mul, row, z)) for row in a.entries]):
+        raise SelfCheckFailed(f"construction from {part.blocks} gave {z}")
+    return z
 
 
 def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
@@ -232,15 +284,18 @@ class Witness:
 def lift(lin: LinearSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
     """Build the tower witness for a solution z of the linear side of lin.system.
 
-    The y-values are materialized (z is desk-scale by construction); the
-    x-values stay symbolic towers.  Raises SelfCheckFailed if the levels
-    miss an edge identity, which would be a defect of the construction.
+    The y-values are materialized, each of at most MAX_Y_DIGITS decimal
+    digits (else WitnessTooLarge, before any power is taken); the x-values
+    stay symbolic towers.  Raises SelfCheckFailed if the levels miss an
+    edge identity, which would be a defect of the construction.
     """
     if a < 2 or b < 2:
         raise ValueError("witness bases must be at least 2")
     if any(v < 1 for v in z):
         raise NotASolution("z must be a positive vector")
     k = compute_k(lin, z)
+    if max(z) >= MAX_Y_DIGITS / math.log10(b):
+        raise WitnessTooLarge(f"y = {b}^{max(z)} has more than {MAX_Y_DIGITS} decimal digits")
     xs = tuple(Tower(a, b, kv) for kv in k)
     ys = tuple(Plain(b**zv) for zv in z)
     w = Witness(a, b, tuple(z), k, xs, ys)

@@ -663,7 +663,7 @@ def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> Searc
         for z in itertools.product(values, repeat=n):
             if best is not None and z >= best:
                 break
-            if _annihilates(rows, z):
+            if annihilates(rows, z):
                 best = z
                 break
     if best is not None and any(sum(map(operator.mul, row, best)) for row in rows):
@@ -671,7 +671,7 @@ def search_lin(matrix: IntMatrix, colouring: ColouringSpec, bound: int) -> Searc
     return SearchReport(1, bound, None, n, best, 0)
 
 
-def _annihilates(rows, z) -> bool:
+def annihilates(rows, z) -> bool:
     return all(sum(c * v for c, v in zip(row, z)) == 0 for row in rows)
 
 

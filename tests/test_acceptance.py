@@ -33,7 +33,7 @@ from expreg.search import (
     vdw_number,
 )
 from expreg.witness import (
-    find_positive_solution,
+    iter_positive_solutions,
     lift,
     prime_omega,
     tower_to_int,
@@ -180,7 +180,7 @@ def _lift_cases(target=100, bound=20):
     cases = []
     for raw in iter_systems():
         sys, _ = normalize(raw)
-        z = find_positive_solution(build_linear_system(sys).matrix, bound)
+        z = next(iter_positive_solutions(build_linear_system(sys).matrix, bound), None)
         if z is not None:
             cases.append((sys, z))
             if len(cases) == target:

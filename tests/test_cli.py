@@ -237,6 +237,78 @@ def test_decide_witness_analyses_the_system_once(run_cli, tmp_path, monkeypatch,
     assert counts == dict.fromkeys(ONE_PASS, 1)
 
 
+def _coefficient_system(c: int) -> str:
+    return f"system 3\neq X1 ^ Y1*Y2^-1*Y3^{c} = X1\n"
+
+
+class TestRadoWitness:
+    """PR witnesses come from the columns partition, not from a search."""
+
+    def test_levels_fixture(self, run_cli, fixture_path):
+        code, out, _ = run_cli("decide", fixture_path("pr-levels.xps"), "--witness", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["linear_system"]["rows"] == [
+            [0, -1, -1, 3, -8, 0, 1, 1, 2, 2],
+            [0, 1, 2, -3, 7, -4, -1, 0, 0, -3],
+            [0, 0, -1, -2, -2, 2, 0, -5, 4, 4],
+            [0, -2, 2, -1, 7, 1, 2, -3, 4, -3],
+        ]
+        assert report["certificate"]["blocks"] == [[1, 2, 7], [3, 6, 8, 9], [4, 5, 10]]
+        assert report["witness"]["z"] == [1, 6, 1, 1, 1, 2, 1, 3, 3, 1]
+        assert report["witness"]["verified"] is True
+
+    def test_large_coefficient_gets_a_witness(self, run_cli, tmp_path):
+        doc = tmp_path / "c300.xps"
+        doc.write_text(_coefficient_system(300))
+        code, out, _ = run_cli("decide", doc, "--witness", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["witness"]["z"] == [1, 301, 1]
+        assert report["witness"]["ys"][1] == {"kind": "plain", "value": 2**301}
+        assert not any("omitted" in warning for warning in report["warnings"])
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_witness_past_the_digit_limit_is_omitted(self, run_cli, tmp_path, fmt):
+        # z = (1, 20001, 1), and 2^20001 has 6,021 digits
+        doc = tmp_path / "c20000.xps"
+        doc.write_text(_coefficient_system(20000))
+        code, out, _ = run_cli("decide", doc, "--witness", *fmt)
+        assert code == 0
+        warning = "witness omitted: y = 2^20001 has more than 4300 decimal digits"
+        if fmt:
+            report = json.loads(out)
+            assert report["verdict"] == "PR" and report["witness"] is None
+            assert warning in report["warnings"]
+        else:
+            assert out.startswith("verdict: PR\n") and "witness:" not in out
+            assert f"warning: {warning}\n" in out
+
+    def test_explicit_z_past_the_digit_limit_exits_2(self, run_cli, tmp_path):
+        doc = tmp_path / "c20000.xps"
+        doc.write_text(_coefficient_system(20000))
+        code, out, err = run_cli("witness", doc, "--z", "1,20001,1", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: y = 2^20001 has more than 4300 decimal digits\n"
+
+    def test_witness_takes_z_from_the_partition(self, run_cli, tmp_path):
+        doc = tmp_path / "c300.xps"
+        doc.write_text(_coefficient_system(300))
+        code, out, _ = run_cli("witness", doc, "--json")
+        assert code == 0
+        assert json.loads(out)["z"] == [1, 301, 1]
+
+    def test_witness_without_z_needs_a_partition(self, run_cli, fixture_path):
+        code, out, err = run_cli("witness", fixture_path("exp-npr.xps"))
+        assert (code, out) == (2, "")
+        assert "--z" in err
+
+    def test_z_bound_is_gone(self, run_cli, fixture_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("witness", fixture_path("exp-pr.xps"), "--z-bound", "8")
+        assert exc.value.code == 2
+
+
 FOUR_VARIABLES = (
     "system 4\neq X1 ^ Y1*Y2 = X2\neq X2 ^ Y3 = X3\neq X3 ^ Y4^-1 = X1\neq X4 ^ Y1^2 = X4\n"
 )

@@ -409,7 +409,7 @@ class TestSearchLin:
             assert search_lin(m, RadoP(3), bound).exhausted
 
     def test_self_check_rejects_a_wrong_vector(self, monkeypatch):
-        monkeypatch.setattr(helpers, "_annihilates", lambda rows, z: True)
+        monkeypatch.setattr(helpers, "annihilates", lambda rows, z: True)
         with pytest.raises(SelfCheckFailed):
             search_lin(IntMatrix.from_rows([[2, -1]]), Constant(0), 4)
 
@@ -491,6 +491,13 @@ def test_search_witnesses_raises_on_uncoloured_towers():
             "cli.build_decision_report("
             "'system 2\\neq X1 ^ Y1^2 = X2\\neq X1 ^ Y2 = X2\\n', verify_bound=9)",
             id="cross-check-solution",
+        ),
+        pytest.param(
+            "import expreg.witness as w\n"
+            "w._level_vectors = lambda a, part: [[1, 1, 0], [0, 0, 1]]",
+            "w.find_positive_solution("
+            "IntMatrix.from_rows([[1, -1, 300]]), rado.ColumnsPartition(((1, 2), (3,))))",
+            id="construction",
         ),
     ],
 )

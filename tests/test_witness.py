@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys as _sys
 
@@ -11,16 +12,19 @@ import expreg.witness
 from expreg.corpus import system_corpus
 from expreg.eqsys import ExpSystem, normalize
 from expreg.graphs import build_linear_system
-from expreg.rado import IntMatrix
+from expreg.rado import ColumnsPartition, IntMatrix, columns_property
 from expreg.search import PASS, RadoP, RadoPNu, colour_of, eval_exp
 from expreg.witness import (
+    MAX_Y_DIGITS,
     NotASolution,
     Plain,
     SelfCheckFailed,
     Tower,
     Witness,
+    WitnessTooLarge,
     compute_k,
     find_positive_solution,
+    iter_positive_solutions,
     lift,
     path_sums,
     prime_omega,
@@ -32,6 +36,7 @@ import helpers
 from helpers import (
     REPO_ROOT,
     NotNormalized,
+    annihilates,
     expand_pattern,
     forests_strategy,
     iter_systems,
@@ -72,23 +77,112 @@ def test_omega_complete_additivity(x, y, m):
     assert prime_omega(x) >= 1
 
 
+def _first_solution(m: IntMatrix, bound: int):
+    return next(iter_positive_solutions(m, bound), None)
+
+
 class TestFindPositiveSolution:
+    """The first solution of the lexicographic search, the reference for
+    `find_positive_solution`'s construction (TestRadoConstruction)."""
+
     def test_lexicographic_first(self):
-        assert find_positive_solution(IntMatrix.from_rows([[1, 1, -1]]), 4) == (1, 1, 2)
+        assert _first_solution(IntMatrix.from_rows([[1, 1, -1]]), 4) == (1, 1, 2)
 
     def test_unconstrained(self):
-        assert find_positive_solution(IntMatrix(0, 2, ()), 1) == (1, 1)
+        assert _first_solution(IntMatrix(0, 2, ()), 1) == (1, 1)
 
     def test_doubling(self):
-        assert find_positive_solution(IntMatrix.from_rows([[2, -1]]), 10) == (1, 2)
+        assert _first_solution(IntMatrix.from_rows([[2, -1]]), 10) == (1, 2)
 
     def test_out_of_bound(self):
-        assert find_positive_solution(IntMatrix.from_rows([[5, -1]]), 4) is None
+        assert _first_solution(IntMatrix.from_rows([[5, -1]]), 4) is None
 
     def test_more_columns_than_the_recursion_limit(self):
         n = _sys.getrecursionlimit() + 500
         row = [1] + [0] * (n - 2) + [-1]
-        assert find_positive_solution(IntMatrix.from_rows([row]), 2) == (1,) * n
+        assert _first_solution(IntMatrix.from_rows([row]), 2) == (1,) * n
+
+
+def _planted_pr_matrix(rng: random.Random) -> IntMatrix:
+    """8-12 columns, 2-4 rows, entries within +-9, with the columns property
+    planted: a random ordered partition whose S_0 sums to zero and whose
+    later block sums are small combinations of earlier columns."""
+    while True:
+        n, m = rng.randint(8, 12), rng.randint(2, 4)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(2, n), rng.randint(1, 3)))
+        blocks = [order[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+        cols: list[list[int] | None] = [None] * n
+        earlier: list[int] = []
+        for block in blocks:
+            target = [0] * m
+            for j in rng.sample(earlier, min(len(earlier), 3)):
+                c = rng.choice((-2, -1, 1, 2))
+                target = [t + c * x for t, x in zip(target, cols[j])]
+            for j in block[:-1]:
+                cols[j] = [rng.randint(-9, 9) for _ in range(m)]
+                target = [t - x for t, x in zip(target, cols[j])]
+            cols[block[-1]] = target
+            earlier += block
+        if all(abs(x) <= 9 for col in cols for x in col):
+            return IntMatrix.from_rows(list(zip(*cols)))
+
+
+class TestRadoConstruction:
+    def test_planted_panel(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            m = _planted_pr_matrix(rng)
+            part = columns_property(m)
+            assert part is not None
+            z = find_positive_solution(m, part)
+            assert min(z) >= 1 and annihilates(m.entries, z)
+            levels = expreg.witness._level_vectors(m, part)
+            placed: set[int] = set()
+            for block, v in zip(part.blocks, levels):
+                # v_t is in ker A, constant and positive on S_t, zero on later blocks
+                placed.update(block)
+                assert annihilates(m.entries, v)
+                assert len({v[j - 1] for j in block}) == 1 and v[block[0] - 1] > 0
+                assert all(v[j - 1] == 0 for j in range(1, m.num_cols + 1) if j not in placed)
+            # the bound stated in find_positive_solution's docstring
+            k = max(abs(x) for v in levels for x in v)
+            assert max(z) < (k + 1) ** len(part.blocks)
+
+    def test_random_small_pr_matrices(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 150:
+            n = rng.randint(2, 6)
+            m = IntMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            )
+            part = columns_property(m)
+            if part is None:
+                continue
+            z = find_positive_solution(m, part)
+            assert min(z) >= 1 and annihilates(m.entries, z)
+            # existence only: the search finds some solution within max(z)
+            assert _first_solution(m, max(z)) is not None
+            checked += 1
+
+    def test_no_rows_gives_all_ones(self):
+        for n in (1, 4, 300):
+            m = IntMatrix(0, n, ())
+            assert find_positive_solution(m, columns_property(m)) == (1,) * n
+
+    def test_level_coefficients(self):
+        m = IntMatrix.from_rows([[1, -1, 300]])
+        part = columns_property(m)
+        assert part.blocks == ((1, 2), (3,))
+        assert find_positive_solution(m, part) == (1, 301, 1)
+
+    def test_self_check_rejects_a_wrong_level_vector(self, monkeypatch):
+        m = IntMatrix.from_rows([[1, -1, 300]])
+        wrong = [[1, 1, 0], [0, 0, 1]]  # the second level ignores the 300
+        monkeypatch.setattr(expreg.witness, "_level_vectors", lambda a, part: wrong)
+        with pytest.raises(SelfCheckFailed):
+            find_positive_solution(m, ColumnsPartition(((1, 2), (3,))))
 
 
 class TestWeight:
@@ -176,6 +270,14 @@ class TestLift:
         s = ExpSystem.square(1, [(1, 1, [1])])
         with pytest.raises(NotASolution):
             lift(build_linear_system(s), (2,))
+
+    def test_y_digit_limit(self):
+        # 10^4299 has 4300 digits, 10^4300 one more
+        s = ExpSystem.square(1, [(1, 1, [0])])
+        w = lift(build_linear_system(s), (MAX_Y_DIGITS - 1,), b=10)
+        assert len(str(w.ys[0].value)) == MAX_Y_DIGITS
+        with pytest.raises(WitnessTooLarge):
+            lift(build_linear_system(s), (MAX_Y_DIGITS,), b=10)
 
     def test_self_check_rejects_inconsistent_levels(self, monkeypatch):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
@@ -276,7 +378,7 @@ def _lift_corpus(count=100, bound=20):
     out = []
     for raw in iter_systems():
         sys, _ = normalize(raw)
-        z = find_positive_solution(build_linear_system(sys).matrix, bound)
+        z = _first_solution(build_linear_system(sys).matrix, bound)
         if z is not None:
             out.append((sys, z))
             if len(out) == count:

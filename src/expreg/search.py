@@ -8,17 +8,21 @@ values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
 reported.  The exponential search counts those skips class by class
 instead of walking each tuple, and reports the same numbers a walk would.
-It streams a class's rows of per-edge constraints, one per Y-tuple and
-one row held at a time, resolving each distinct exponent once per class,
-and one walk over the rows answers both questions: the first solution,
-and the skips before the best one so far.  The re-verification goes
-through `eval_exp`, which evaluates each edge on its own and never reads
-those rows.
+It streams a class's rows of per-edge constraints, one per Y-tuple, and
+one walk over the rows answers both questions: the first solution, and
+the skips before the best one so far.  Many Y-tuples share a row, and the
+X-side work is done once per distinct row.  The constraints come from
+class tables that depend only on the class's values and the ceiling, so
+they are built once per process and shared by every search over the
+class; the colour classes themselves are computed afresh by each search.
+The re-verification goes through `eval_exp`, which evaluates each edge on
+its own and never reads those rows.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -327,8 +331,101 @@ def search_exp(
 # An edge's constraint on the X-vertices for one Y-tuple is a pair
 # (unfailed, passing) of masks for a loop, or of tables per value of the
 # earlier endpoint for any other edge.  A side is None where it is
-# trivial: unfailed everywhere, or passing nowhere.
-_AT_CEILING = (None, None)
+# trivial: unfailed everywhere, or passing nowhere.  Constraints are
+# interned by value in their class's tables, so equal ones are one object:
+# identity is equality, and a row of them is a cheap dict key.
+class _Constraint(tuple):
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
+# both sides trivial: every X-assignment a ceiling skip
+_AT_CEILING = _Constraint((None, None))
+
+
+class _ClassTables:
+    """What a colour class's constraints owe to its values and the ceiling
+    alone, so every lattice over the class shares it: bounded powers, the
+    largest useful exponent, and the constraint of a loop or a link per
+    reduced exponent.  Bit i of a mask stands for values[i]."""
+
+    def __init__(self, values: tuple[int, ...], ceiling: int) -> None:
+        self.values = values
+        self.ceiling = ceiling
+        self.full = (1 << len(values)) - 1
+        # the largest exponent that keeps some value within the ceiling
+        self.top, power = 0, values[0]
+        while power <= ceiling:
+            self.top, power = self.top + 1, power * values[0]
+        self._powers: dict[int, tuple[list[int], int]] = {}
+        self._links: dict[tuple[int, int], _Constraint] = {}
+        self._loops: dict[tuple[int, int], _Constraint] = {}
+        # every constraint of the class by value, so that equal ones are one
+        # object: a side is a mask for a loop and a tuple of masks for a link
+        self._interned: dict[tuple, _Constraint] = {(None, None): _AT_CEILING}
+
+    def power(self, c: int) -> tuple[list[int], int]:
+        """v**c per value, ceiling + 1 past the ceiling, and the number of
+        values within it: a prefix, as the values increase."""
+        power = self._powers.get(c)
+        if power is None:
+            table = []
+            for v in self.values:
+                p = _bounded_pow(v, c, self.ceiling)
+                if p is None:
+                    break
+                table.append(p)
+            k = len(table)
+            table += [self.ceiling + 1] * (len(self.values) - k)
+            power = self._powers[c] = (table, k)
+        return power
+
+    def over_mask(self, c: int) -> int:
+        """Values whose c-th power exceeds the ceiling: a suffix of the class."""
+        k = self.power(c)[1]
+        return self.full >> k << k
+
+    def _intern(self, unfailed, passing) -> _Constraint:
+        key = (unfailed, passing)
+        return self._interned.setdefault(key, _Constraint(key))
+
+    def link(self, a: int, b: int) -> _Constraint:
+        """The constraint of u^a = v^b on v, per u = values[i]: the v with
+        the pair unfailed, and those with u^a = v^b <= C."""
+        key = (a, b)
+        if key not in self._links:
+            powers_a, ka = self.power(a)
+            powers_b, kb = self.power(b)
+            roots = {powers_b[j]: 1 << j for j in range(kb)}
+            over_b = self.full >> kb << kb
+            rest = len(self.values) - ka
+            passing = tuple(roots.get(p, 0) for p in powers_a[:ka]) + (0,) * rest
+            unfailed = tuple(over_b | root for root in passing[:ka]) + (self.full,) * rest
+            self._links[key] = self._intern(
+                None if unfailed.count(self.full) == len(unfailed) else unfailed,
+                passing if any(passing) else None,
+            )
+        return self._links[key]
+
+    def loop(self, n: int, d: int) -> _Constraint:
+        """The constraint of x^n = x^d, for n/d reduced."""
+        key = (n, d)
+        if key not in self._loops:
+            if n == d:
+                # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
+                constraint = self._intern(None, self.full ^ self.over_mask(1) or None)
+            else:
+                unfailed = self.over_mask(n) | self.over_mask(d)
+                constraint = self._intern(None if unfailed == self.full else unfailed, None)
+            self._loops[key] = constraint
+        return self._loops[key]
+
+
+# One process's searches share a few dozen classes (14 across the bench
+# corpus's 593 cross-checks); the cache holds that many and no more.
+_class_tables = functools.lru_cache(maxsize=32)(_ClassTables)
 
 
 class _ClassLattice:
@@ -345,29 +442,23 @@ class _ClassLattice:
     edges to earlier vertices allow.
 
     A row holds one constraint per edge for one Y-tuple.  Each edge's
-    exponents grow lazily, one variable at a time, over bounded-power
-    tables, and each distinct exponent is resolved once per class to the
-    edge's constraint, so the rows stream in product order and only the
-    current one is held, never a block or the whole lattice.  One walk
-    over the rows both finds the first passing assignment and counts the
-    unfailed ones.
+    exponents grow lazily, one variable at a time, over the class's power
+    tables, and each distinct exponent is resolved once per lattice to a
+    constraint of the class tables, so the rows stream in product order
+    and only the rows seen so far are held, never the lattice.  Rows
+    repeat, since many Y-tuples leave the same constraints, and a walk
+    does a row's X-side work once: its first passing X-part and its count
+    serve every later Y-tuple with that row.  One walk over the rows both
+    finds the first passing assignment and counts the unfailed ones.
     """
 
     def __init__(self, sys: ExpSystem, values: list[int], ceiling: int) -> None:
         self.sys = sys
-        self.values = values
-        self.ceiling = ceiling
-        self.full = (1 << len(values)) - 1
-        # the largest exponent that keeps some value within the ceiling
-        self._top, power = 0, values[0]
-        while power <= ceiling:
-            self._top, power = self._top + 1, power * values[0]
-        self._powers: dict[int, tuple[list[int], int]] = {}
-        self._links: dict[tuple[int, int], tuple] = {}
+        self.tables = tables = _class_tables(tuple(values), ceiling)
         # per edge: its constraint by unreduced exponent (num, den)
-        self._constraints: list[dict[tuple[int, int], tuple]] = [{} for _ in sys.edges]
+        self._constraints: list[dict[tuple[int, int], _Constraint]] = [{} for _ in sys.edges]
         # per edge: (coefficient, power table) per Y-variable
-        self._factors = [[(c, self._power(abs(c))[0]) for c in e.coeffs] for e in sys.edges]
+        self._factors = [[(c, tables.power(abs(c))[0]) for c in e.coeffs] for e in sys.edges]
         # per edge: its later endpoint, and its earlier one (None for a loop)
         self._ends = [
             (e.tail - 1, None)
@@ -375,75 +466,34 @@ class _ClassLattice:
             else (max(e.tail, e.head) - 1, min(e.tail, e.head) - 1)
             for e in sys.edges
         ]
+        # per edge: its constraint at a reduced exponent (n, d)
+        self._resolve = [
+            tables.loop
+            if e.tail == e.head
+            else tables.link
+            if e.tail < e.head
+            else lambda n, d: tables.link(d, n)
+            for e in sys.edges
+        ]
 
-    def _power(self, c: int) -> tuple[list[int], int]:
-        """v**c per value, ceiling + 1 past the ceiling, and the number of
-        values within it: a prefix, as the values increase."""
-        power = self._powers.get(c)
-        if power is None:
-            table = []
-            for v in self.values:
-                p = _bounded_pow(v, c, self.ceiling)
-                if p is None:
-                    break
-                table.append(p)
-            k = len(table)
-            table += [self.ceiling + 1] * (len(self.values) - k)
-            power = self._powers[c] = (table, k)
-        return power
-
-    def _over_mask(self, c: int) -> int:
-        """Values whose c-th power exceeds the ceiling: a suffix of the class."""
-        k = self._power(c)[1]
-        return self.full >> k << k
-
-    def _link(self, a: int, b: int) -> tuple:
-        """The constraint of u^a = v^b on v, per u = values[i]: the v with
-        the pair unfailed, and those with u^a = v^b <= C."""
-        key = (a, b)
-        if key not in self._links:
-            powers_a, ka = self._power(a)
-            powers_b, kb = self._power(b)
-            roots = {powers_b[j]: 1 << j for j in range(kb)}
-            over_b = self.full >> kb << kb
-            rest = len(self.values) - ka
-            passing = [roots.get(p, 0) for p in powers_a[:ka]] + [0] * rest
-            unfailed = [over_b | root for root in passing[:ka]] + [self.full] * rest
-            self._links[key] = (
-                None if unfailed.count(self.full) == len(unfailed) else unfailed,
-                passing if any(passing) else None,
-            )
-        return self._links[key]
-
-    def _constraint(self, k: int, cell: tuple[int, int]) -> tuple:
+    def _constraint(self, k: int, cell: tuple[int, int]) -> _Constraint:
         """Edge k's constraint at the unreduced exponent cell = (num, den)."""
         num, den = cell
-        if num > self.ceiling or den > self.ceiling:
+        ceiling = self.tables.ceiling
+        if num > ceiling or den > ceiling:
             # not memoized: exponents past the ceiling are many and all alike
             return _AT_CEILING
         g = math.gcd(num, den)
         n, d = num // g, den // g
-        e = self.sys.edges[k]
-        if n > self._top or d > self._top:
-            # every value's n-th or d-th power is past the ceiling
-            constraint = _AT_CEILING
-        elif e.tail == e.head:
-            # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
-            if n == d:
-                constraint = (None, self.full ^ self._over_mask(1) or None)
-            else:
-                unfailed = self._over_mask(n) | self._over_mask(d)
-                constraint = (None if unfailed == self.full else unfailed, None)
-        elif e.tail < e.head:
-            constraint = self._link(n, d)
-        else:
-            constraint = self._link(d, n)
+        top = self.tables.top
+        # past top, every value's n-th or d-th power is past the ceiling
+        constraint = _AT_CEILING if n > top or d > top else self._resolve[k](n, d)
         self._constraints[k][cell] = constraint
         return constraint
 
-    def _column(self, k: int, cells: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+    def _column(self, k: int, cells: Iterable[tuple[int, int]]) -> Iterator[_Constraint]:
         """Edge k's constraints at the given unreduced exponents."""
-        known, top = self._constraints[k], self._top
+        known, top = self._constraints[k], self.tables.top
         # num > top * den leaves the reduced numerator past top too, and
         # den > top * num the denominator
         return (
@@ -469,8 +519,8 @@ class _ClassLattice:
         """Per-vertex constraints of one row: where every edge passes (None
         when some edge passes nowhere), or where no edge fails."""
         nx = self.sys.num_vertices
-        doms = [self.full] * nx
-        preds: list[list[tuple[int, list[int]]]] = [[] for _ in doms]
+        doms = [self.tables.full] * nx
+        preds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in doms]
         read = [False] * nx
         for (i, j), constraint in zip(self._ends, row):
             side = constraint[passing]
@@ -492,26 +542,39 @@ class _ClassLattice:
         number of assignments on which no edge fails, all of them or only
         those sorting before `below`."""
         nx = self.sys.num_vertices
+        values = self.tables.values
         first = first_ys = None
         total = 0
-        ys_tuples = itertools.product(self.values, repeat=self.sys.num_y)
+        if below is not None:
+            below_xs, below_ys = below[:nx], below[nx:]
+        # per distinct row: its count, or (before, tie) against `below`
+        seen: dict[tuple, int | tuple[int, bool]] = {}
+        ys_tuples = itertools.product(values, repeat=self.sys.num_y)
         for ys, row in zip(ys_tuples, self._rows()):
-            if solve:
-                vertices = self._vertices(row, passing=True)
-                xs = None if vertices is None else vertices.first()
-                # later Y-tuples sort after earlier ones with the same X-part
-                if xs is not None and (first is None or xs < first):
-                    first, first_ys = xs, ys
-            vertices = self._vertices(row, passing=False)
+            known = seen.get(row)
+            if known is None:
+                # a repeat's first X-part comes with a later Y-tuple, so
+                # only a row's first Y-tuple can give the first solution
+                if solve:
+                    vertices = self._vertices(row, passing=True)
+                    xs = None if vertices is None else vertices.first()
+                    if xs is not None and (first is None or xs < first):
+                        first, first_ys = xs, ys
+                vertices = self._vertices(row, passing=False)
+                known = seen[row] = (
+                    vertices.count(0)
+                    if below is None
+                    else vertices.count_before(values, below_xs)
+                )
             if below is None:
-                total += vertices.count(0)
+                total += known
             else:
-                before, tie = vertices.count_before(self.values, below[:nx])
+                before, tie = known
                 # a tuple whose X-part ties with `below` sorts before it by its Y-part
-                total += before + (tie and ys < below[nx:])
+                total += before + (tie and ys < below_ys)
         if first is None:
             return None, total
-        return tuple(self.values[k] for k in first) + first_ys, total
+        return tuple(values[k] for k in first) + first_ys, total
 
 
 def _times(cells: Iterable[tuple[int, int]], c: int, table: list[int]) -> Iterator:
@@ -536,7 +599,7 @@ class _Vertices:
     """
 
     def __init__(
-        self, doms: list[int], preds: list[list[tuple[int, list[int]]]], branches: list[bool]
+        self, doms: list[int], preds: list[list[tuple[int, tuple[int, ...]]]], branches: list[bool]
     ) -> None:
         self.doms = doms
         self.preds = preds
@@ -553,37 +616,48 @@ class _Vertices:
 
     def count(self, start: int) -> int:
         """Completions of the assignment of vertices before `start`."""
-        nx = len(self.doms)
+        # a vertex with no edge to an earlier one that no later one reads
+        # has a constant mask, whose size is a factor of every completion
+        factor = 1
+        order = []
+        for i in range(start, len(self.doms)):
+            if self.preds[i] or self.branches[i]:
+                order.append(i)
+            else:
+                factor *= self.doms[i].bit_count()
+        m = len(order)
+        if not m or not factor:
+            return factor
         xs, branches = self.xs, self.branches
-        pending = [0] * (nx + 1)
-        weight = [1] * (nx + 1)
+        pending = [0] * (m + 1)
+        weight = [factor] * (m + 1)
         total = 0
-        if start < nx:
-            pending[start] = self._mask(start)
-        i = start
-        while i >= start:
-            if i == nx:
-                total += weight[nx]
-                i -= 1
+        pending[0] = self._mask(order[0])
+        p = 0
+        while p >= 0:
+            if p == m:
+                total += weight[m]
+                p -= 1
                 continue
-            mask = pending[i]
+            mask = pending[p]
             if not mask:
-                i -= 1
+                p -= 1
                 continue
+            i = order[p]
             if branches[i]:
                 low = mask & -mask
-                pending[i] = mask ^ low
+                pending[p] = mask ^ low
                 xs[i] = low.bit_length() - 1
-                weight[i + 1] = weight[i]
+                weight[p + 1] = weight[p]
             else:
-                pending[i] = 0
-                weight[i + 1] = weight[i] * mask.bit_count()
-            i += 1
-            if i < nx:
-                pending[i] = self._mask(i)
+                pending[p] = 0
+                weight[p + 1] = weight[p] * mask.bit_count()
+            p += 1
+            if p < m:
+                pending[p] = self._mask(order[p])
         return total
 
-    def count_before(self, values: list[int], bound) -> tuple[int, bool]:
+    def count_before(self, values: tuple[int, ...], bound) -> tuple[int, bool]:
         """Assignments sorting before the X-tuple `bound`, and whether
         `bound` itself is one."""
         total = 0

@@ -309,19 +309,14 @@ class TestRadoWitness:
         assert exc.value.code == 2
 
 
-FOUR_VARIABLES = (
-    "system 4\neq X1 ^ Y1*Y2 = X2\neq X2 ^ Y3 = X3\neq X3 ^ Y4^-1 = X1\neq X4 ^ Y1^2 = X4\n"
-)
-
-
 class TestProofFirst:
-    def test_four_variable_system_is_proved_without_a_search(self, run_cli, tmp_path, monkeypatch):
+    def test_four_variable_system_is_proved_without_a_search(
+        self, run_cli, fixture_path, monkeypatch
+    ):
         # the exhaustive search on this system runs for minutes at the old
         # default bound of 40; the proof needs none
-        doc = tmp_path / "four.xps"
-        doc.write_text(FOUR_VARIABLES)
         counts = _count_calls(monkeypatch, ["search.search_exp"])
-        code, out, _ = run_cli("decide", str(doc), "--json")
+        code, out, _ = run_cli("decide", fixture_path("four-var-npr.xps"), "--json")
         assert code == 1
         cert = json.loads(out)["certificate"]
         assert cert["proof"] == {"prime": 3, "level": 2, "blocks": [[2, 4], [3]]}
@@ -521,6 +516,19 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["outcome"] == "found"
         assert doc["assignment"] == [2, 16, 2, 4]
+
+    def test_four_variable_search_exhausts(self, run_cli, fixture_path):
+        # 28,561 Y-tuples hold 1,458 distinct rows of edge constraints
+        code, out, _ = run_cli(
+            "search",
+            fixture_path("four-var-npr.xps"),
+            "--colouring",
+            "radop-nu:2",
+            "--var-bound",
+            "14",
+        )
+        assert code == 0
+        assert out == "exhausted: no monochromatic solution (bounds [2,14], skipped 194488192)\n"
 
     def test_search_rejects_an_empty_lattice(self, run_cli, fixture_path):
         code, out, err = run_cli(

@@ -297,15 +297,20 @@ class TestSearchExpMatchesReference:
         )
 
     def test_corpus_searches(self):
-        # the searches decide makes: both outcomes, ceiling skips on both
-        outcomes = set()
+        # the searches decide makes: both outcomes, ceiling skips on both;
+        # once from an empty class-table cache, then again with it warm
+        searches = []
         for raw in system_corpus(60, seed=7):
             sys, _ = normalize(raw)
             bound = REFERENCE_BOUNDS[min(2 * sys.num_y, 8)]
             for p in (2, 3):
-                report = search_exp(sys, RadoPNu(p), bound, 10**6)
-                assert report == reference_search_exp(sys, RadoPNu(p), bound, 10**6)
-                outcomes.add((report.found, report.skipped > 0))
+                searches.append((sys, RadoPNu(p), bound, 10**6))
+        expected = [reference_search_exp(*args) for args in searches]
+        expreg.search._class_tables.cache_clear()
+        for _ in ("cold", "warm"):
+            assert [search_exp(*args) for args in searches] == expected
+        assert expreg.search._class_tables.cache_info().hits > 0
+        outcomes = {(report.found, report.skipped > 0) for report in expected}
         assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
 
@@ -388,6 +393,72 @@ class TestClassRows:
         assert report == reference_search_exp(sys, spec, 30, 64)
         assert report.assignment == (2, 4, 2)
         assert report.skipped == 598
+
+
+class TestClassTables:
+    """The tables of a colour class, built once per process and shared by
+    every search over the class, and the rows each walk counts once."""
+
+    def test_one_class_shared_by_two_systems_and_two_ceilings(self):
+        # Constant(0) has the one class {2, ..., 9}: one table per ceiling,
+        # built by the first system's search and reused by the second's,
+        # and the 64 one still there when ceiling 64 comes round again
+        tables = expreg.search._class_tables
+        tables.cache_clear()
+        systems = (
+            ExpSystem.square(2, [(1, 2, [1, 1])]),
+            ExpSystem(2, 1, (Edge(1, 2, (2,)), Edge(2, 2, (-1,)))),
+        )
+        for ceiling in (64, 10**6, 64):
+            for sys in systems:
+                assert search_exp(sys, Constant(0), 9, ceiling) == reference_search_exp(
+                    sys, Constant(0), 9, ceiling
+                )
+        assert (tables.cache_info().misses, tables.cache_info().hits) == (2, 4)
+        lattices = [
+            expreg.search._ClassLattice(sys, list(range(2, 10)), ceiling)
+            for ceiling in (64, 10**6)
+            for sys in systems
+        ]
+        assert lattices[0].tables is lattices[1].tables
+        assert lattices[2].tables is lattices[3].tables
+        assert lattices[0].tables is not lattices[2].tables
+
+    def test_repeated_rows_in_the_below_walk(self, monkeypatch):
+        # colour 0 is {3, 6, 9} with first solution (3, 9, 3); colour 1,
+        # {2, 4, 5, 7, 8}, walked later, has (2, 4, 2).  Its walk below
+        # (2, 4, 2) meets rows already seen, whose X-part 2 ties with the
+        # winner's as a ceiling skip, at Y-tuples before (4, 2): the tie
+        # term runs per tuple on a reused row.
+        sys = ExpSystem(1, 2, (Edge(1, 1, (-1, 2)),))
+        spec = Table((1, 1, 0, 1, 1, 0, 1, 1, 0))
+        counted = []
+        original = expreg.search._Vertices.count_before
+
+        def count_before(self, values, bound):
+            counted.append(bound)
+            return original(self, values, bound)
+
+        monkeypatch.setattr(expreg.search._Vertices, "count_before", count_before)
+        report = search_exp(sys, spec, 9, 16)
+        assert report == reference_search_exp(sys, spec, 9, 16)
+        assert report == SearchReport(2, 9, 16, 3, (2, 4, 2), 10)
+        # the walk below (2, 4, 2) counts its 25 Y-tuples' 4 distinct rows
+        assert counted.count((2,)) == 4
+
+    def test_cache_keeps_its_size(self):
+        tables = expreg.search._class_tables
+        tables.cache_clear()
+        size = tables.cache_info().maxsize
+        sys = ExpSystem(2, 1, (Edge(1, 2, (1,)),))
+        # Constant(0) at bound b has the one class {2, ..., b}
+        for bound in [*range(2, size + 12), 2, 3]:
+            assert search_exp(sys, Constant(0), bound, 64) == reference_search_exp(
+                sys, Constant(0), bound, 64
+            )
+        info = tables.cache_info()
+        assert info.misses == size + 12
+        assert info.currsize == size
 
 
 class TestSearchLin:

@@ -1,9 +1,9 @@
 """Command-line surface and the machine-readable decision report.
 
 Exit codes for `decide`: 0 partition regular, 1 not partition regular,
-2 error or inconclusive (parse failure, column budget, no candidate prime
-proved, internal error).  All output is deterministic: identical inputs
-and flags give byte-identical output.
+2 error or inconclusive (parse failure, column budget, a `--p` prime
+with no proof, internal error).  All output is deterministic: identical
+inputs and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import dsl, search, witness
 from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
 from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, rado_colour
-from .search import AUTO_PRIMES, DEFAULT_CEILING
+from .search import DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
 REPORT_VERSION = 3
@@ -28,10 +28,6 @@ REPORT_VERSION = 3
 
 class CommandError(RuntimeError):
     """Raised for any condition that must surface as exit code 2."""
-
-
-class NoPrimeVerified(CommandError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +97,22 @@ def build_decision_report(
 ) -> dict:
     """Run the full decision pipeline on a system document.
 
-    A not-PR verdict carries the mod-p proof of the first candidate prime
-    that has one (`rado.mod_proof`).  Only with a `verify_bound` does the
+    A not-PR verdict carries the mod-p proof of the first prime that has
+    one (`rado.mod_proof`): on "auto" some prime always does, and a None
+    there raises SelfCheckFailed.  Only with a `verify_bound` does the
     exhaustive search run, once, on that prime's colouring, as an
     empirical cross-check; a solution it finds contradicts the proof and
     raises SelfCheckFailed.
 
     Raises dsl.ParseError, CommandError (a `prime` that is neither "auto"
-    nor a prime), ValueError (a `verify_bound` below 2, whatever the
-    verdict), ColumnBudgetExceeded, or NoPrimeVerified; any of those means
-    exit code 2 for the CLI.  The parser range-checks every index and
-    reads exactly n coefficients per edge, so its systems are valid.
+    nor a prime, or a given prime with no proof), ValueError (a
+    `verify_bound` below 2, whatever the verdict), or ColumnBudgetExceeded;
+    any of those means exit code 2 for the CLI.  The parser range-checks
+    every index and reads exactly n coefficients per edge, so its systems
+    are valid.
     """
-    if prime == "auto":
-        candidates = AUTO_PRIMES
-    else:
+    candidates = None
+    if prime != "auto":
         try:
             p = int(prime)
         except ValueError:
@@ -170,8 +167,10 @@ def build_decision_report(
     else:
         report["verdict"] = "not PR"
         proof = mod_proof(lin.matrix, candidates)
+        if proof is None and candidates is None:
+            raise SelfCheckFailed("no prime proves a matrix without the columns property")
         if proof is None:
-            raise NoPrimeVerified(
+            raise CommandError(
                 f"no candidate prime in {list(candidates)} proves that its radop-nu"
                 " colouring forbids the system; refusing to guess"
             )

@@ -15,7 +15,6 @@ from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
 from .rado import is_partition_regular, mod_proof
 from .search import (
-    AUTO_PRIMES,
     DEFAULT_CEILING,
     Mod,
     RadoPNu,
@@ -62,17 +61,16 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
     A PR system is asked for a lifted witness that is monochromatic under
     each PANEL colouring: none within the bounds is inconclusive, never a
     refutation, and one that is not monochromatic is a hard failure.  A
-    not-PR system takes the first of the AUTO_PRIMES with a mod-p proof,
-    as `decide` does, and its radop-nu colouring is then refuted by
-    either check: a monochromatic lifted witness from `search_witnesses`,
-    or a solution from the exhaustive search a little past its
-    PICK_BOUNDS bound; either is a hard failure.  Each system's linear
-    side is built once.  Returns the counts `pr`, `npr`, `unverified` (no
-    listed prime proves the system), `hard_failures` and `inconclusive`
-    (PANEL spec -> count), and `notes`, one line per unverified system or
-    hard failure.
+    not-PR system takes the first prime with a mod-p proof, as `decide`
+    does (some prime always has one), and its radop-nu colouring is then
+    refuted by either check: a monochromatic lifted witness from
+    `search_witnesses`, or a solution from the exhaustive search a little
+    past its PICK_BOUNDS bound; either is a hard failure.  Each system's
+    linear side is built once.  Returns the counts `pr`, `npr`,
+    `hard_failures` and `inconclusive` (PANEL spec -> count), and
+    `notes`, one line per hard failure.
     """
-    out = {"pr": 0, "npr": 0, "unverified": 0, "hard_failures": 0, "notes": []}
+    out = {"pr": 0, "npr": 0, "hard_failures": 0, "notes": []}
     out["inconclusive"] = dict.fromkeys(PANEL, 0)
     for index, raw in enumerate(system_corpus(count, seed=seed), start=1):
         sys_, _ = normalize(raw)
@@ -93,12 +91,7 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
                     )
             continue
         out["npr"] += 1
-        proof = mod_proof(lin.matrix, AUTO_PRIMES)
-        if proof is None:
-            out["unverified"] += 1
-            out["notes"].append(f"system {index}: no listed prime proves it")
-            continue
-        spec = RadoPNu(proof.prime)
+        spec = RadoPNu(mod_proof(lin.matrix).prime)
         recheck = PICK_BOUNDS[min(nvars, 8)] + (1 if nvars >= 5 else 2)
         if search_witnesses(lin, spec, z_bound=z_bound) is not None:
             out["hard_failures"] += 1

@@ -9,6 +9,7 @@ is never acceptable.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,8 +304,19 @@ class ModProof(NamedTuple):
         return len(self.blocks)
 
 
-def mod_proof(m: IntMatrix, primes: Sequence[int]) -> ModProof | None:
-    """The proof for the first prime in `primes` that has one, or None.
+def mod_proof(m: IntMatrix, primes: Sequence[int] | None = None) -> ModProof | None:
+    """The proof for the first of `primes` that has one, or None.
+
+    `primes` defaults to 2, 3, 5, ... up to the first prime above B = (the
+    column count) * (the product of the num_rows largest column l1-norms,
+    each at least 1); then None means the columns property holds.  Proof:
+    let the exact loop stop after taking columns T, leaving R.  A nonempty
+    s in R sums outside the span of T, so a nonzero (k+1)-minor of [k
+    independent columns of T | sum(s)] gives an integer phi annihilating T
+    with phi . sum(s) = D, 0 < |D| <= B by multilinearity and Hadamard's
+    bound.  The gcd g_s of phi . sum(s) over the `_ModAnnihilator` basis
+    of T divides D, so a prime above B divides no g_s: it admits T's exact
+    blocks, then no block of R, and by the exchange lemma its loop stops.
 
     Soundness.  Let y be a solution that c_p composed with Omega colours
     with one colour.  Omega is completely additive, so z = Omega(y) is a
@@ -321,6 +333,11 @@ def mod_proof(m: IntMatrix, primes: Sequence[int]) -> ModProof | None:
     The proof is re-checked by `check_mod_proof`.  Raises
     ColumnBudgetExceeded like `columns_property`.
     """
+    if primes is None:
+        norms = sorted((max(1, sum(map(abs, col))) for col in m.columns()), reverse=True)
+        bound = m.num_cols * math.prod(norms[: m.num_rows])
+        last = next(filter(is_prime, itertools.count(bound + 1)))
+        primes = filter(is_prime, range(2, last + 1))
     for p in primes:
         blocks, rest = _greedy_levels(m, _ModAnnihilator(p, m.num_rows))
         if rest:

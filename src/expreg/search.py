@@ -154,8 +154,6 @@ FAIL = "fail"
 CEILING = "ceiling"
 
 DEFAULT_CEILING = 10**6
-# primes whose mod-p proof `decide --p auto` tries, in order
-AUTO_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _bounded_pow(base: int, exp: int, ceiling: int) -> int | None:

@@ -14,7 +14,6 @@ from expreg.cli import _dump_json, build_decision_report
 from expreg.dsl import parse_system, print_system
 from expreg.eqsys import ExpSystem, normalize
 from expreg.rado import IntMatrix
-from expreg.search import AUTO_PRIMES
 
 from helpers import (
     FIXTURES,
@@ -116,6 +115,23 @@ class TestDecide:
         assert out == ""
         assert err.startswith("error: no candidate prime in [2] proves")
         assert "refusing to guess" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--verify-bound", "6"]])
+    def test_prime_past_13_is_found(self, run_cli, fixture_path, extra):
+        # the row is (1, -30031), and 30,030 is the product of the primes up to 13
+        code, out, _ = run_cli("decide", fixture_path("npr-p17.xps"), "--json", *extra)
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert cert["colouring"] == "radop-nu:17"
+        assert cert["proof"] == {"prime": 17, "level": 0, "blocks": []}
+
+    def test_no_proof_on_auto_is_a_defect(self, run_cli, fixture_path, monkeypatch):
+        # some prime always proves a matrix without the columns property
+        monkeypatch.setattr(expreg.cli, "mod_proof", lambda m, primes=None: None)
+        code, out, err = run_cli("decide", fixture_path("npr-p17.xps"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error: SelfCheckFailed: no prime proves")
 
     def test_empty_verify_lattice_is_an_error(self, run_cli, fixture_path):
         # [2, 1] holds no values, so an exhausted search there proves nothing
@@ -369,7 +385,7 @@ class TestProofFirst:
             if report["verdict"] == "not PR":
                 assert mod_proof_problems(matrix, report["certificate"]["proof"]) == []
             elif rows:
-                for p in AUTO_PRIMES:
+                for p in (2, 3, 5, 7, 11, 13):
                     assert brute_mod_p_partition(matrix, p) is not None, (rows, p)
         assert counts["search.search_exp"] == 0
         assert verdicts == {"PR": 207, "not PR": 593}

@@ -19,10 +19,11 @@ from expreg.rado import (
     check_mod_proof,
     columns_property,
     is_partition_regular,
+    is_prime,
     mod_proof,
     rado_colour,
 )
-from expreg.search import AUTO_PRIMES, RadoP
+from expreg.search import RadoP
 
 from helpers import (
     annihilator_mod_p,
@@ -190,12 +191,38 @@ class TestModProof:
     def test_doubling_is_proved_mod_3_not_mod_2(self):
         m = IntMatrix.from_rows([[2, -1]])
         assert mod_proof(m, (2,)) is None
-        assert mod_proof(m, AUTO_PRIMES) == ModProof(3, ())
+        assert mod_proof(m, (2, 3, 5, 7, 11, 13)) == ModProof(3, ())
+        assert mod_proof(m) == ModProof(3, ())
+
+    def test_prime_past_13(self):
+        # 30,030 = 2*3*5*7*11*13 and 6,469,693,230 is the primorial of 29
+        assert mod_proof(IntMatrix.from_rows([[1, -30031]])) == ModProof(17, ())
+        assert mod_proof(IntMatrix.from_rows([[1, -6469693231]])) == ModProof(31, ())
+
+    def test_every_not_pr_matrix_gets_the_least_prime(self):
+        # entries up to 9 put some least primes past 13
+        rng = random.Random(17)
+        primes = []
+        for _ in range(150):
+            cols = rng.randint(2, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            m = IntMatrix.from_rows(rows)
+            proof = mod_proof(m)
+            assert (proof is None) == (columns_property(m) is not None), rows
+            if proof is not None:
+                least = next(
+                    p for p in itertools.count(2)
+                    if is_prime(p) and brute_mod_p_partition(m, p) is None
+                )
+                assert proof.prime == least, rows
+                assert mod_proof_problems(m, _proof_json(proof)) == []
+                primes.append(proof.prime)
+        assert max(primes) > 13 and len(primes) < 150  # both outcomes, and primes past 13
 
     def test_item_10_system_stops_at_level_2(self):
         # cycle row Y1 + Y2 + Y3 - Y4 and loop row 2*Y1
         m = IntMatrix.from_rows([[1, 1, 1, -1], [2, 0, 0, 0]])
-        proof = mod_proof(m, AUTO_PRIMES)
+        proof = mod_proof(m, (2, 3, 5, 7, 11, 13))
         assert proof == ModProof(3, ((2, 4), (3,)))
         assert proof.level == 2
 
@@ -226,7 +253,8 @@ class TestModProof:
             m = IntMatrix.from_rows(rows)
             if columns_property(m) is not None:
                 regular += 1
-                assert all(mod_proof(m, (p,)) is None for p in AUTO_PRIMES), rows
+                assert all(mod_proof(m, (p,)) is None for p in (2, 3, 5, 7, 11, 13)), rows
+                assert mod_proof(m) is None, rows
         assert regular > 50
 
     def test_annihilator_basis_spans_the_whole_lattice(self):

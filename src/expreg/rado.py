@@ -1,7 +1,8 @@
 """Exact linear algebra, the columns-property decision procedure and its
 mod-p counterpart, which proves a digit colouring forbids a system.
 
-Everything here works over unbounded integers and `fractions.Fraction`;
+Both are one lattice question, answered by one integer annihilator and
+tested exactly or mod p.  Everything here works over unbounded integers;
 the columns property is a brittle algebraic predicate and floating point
 is never acceptable.
 """
@@ -12,7 +13,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 
@@ -67,57 +67,30 @@ class IntMatrix:
         return [self.column(j) for j in range(1, self.num_cols + 1)]
 
 
-class _Span:
-    """Incrementally built row-echelon basis for a rational span."""
-
-    exact = True
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[Fraction, ...]] = []  # each normalized to leading 1
-        self.pivots: list[int] = []
-
-    def _residual(self, vec: Sequence[int | Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for pivot, row in zip(self.pivots, self.rows):
-            if v[pivot]:
-                c = v[pivot]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence[int | Fraction]) -> bool:
-        return not any(self._residual(vec))
-
-    def add(self, vec: Sequence[int | Fraction]) -> None:
-        v = self._residual(vec)
-        for pivot, x in enumerate(v):
-            if x:
-                inv = 1 / x
-                self.rows.append(tuple(a * inv for a in v))
-                self.pivots.append(pivot)
-                return
-
-
-class _ModAnnihilator:
-    """Block sums tested mod p against the annihilator of the columns added.
+class _Annihilator:
+    """Block sums tested against the integer annihilator of the columns added.
 
     `basis` is a basis of the lattice of integer vectors phi with
-    phi . a = 0 for every column a added, and `contains(s)` holds when
-    phi . s = 0 (mod p) for every phi in it.  It starts as the unit
-    vectors, so with no column added the test is s = 0 (mod p).  Adding a
-    column runs Euclid on the values phi . a with unimodular steps and
-    drops the one vector left with a nonzero value, so the basis spans the
-    whole lattice, not a sublattice: the test is the strictest it gives.
+    phi . a = 0 for every column a added.  It starts as the unit vectors.
+    Adding a column runs Euclid on the values phi . a with unimodular steps
+    and drops the one vector left with a nonzero value, so the basis spans
+    the whole lattice, not a sublattice.  `contains(s)` holds when
+    phi . s = 0 for every phi in it (p = 0), or phi . s = 0 (mod p).  Over
+    Q the basis spans the annihilator of the span of the columns added,
+    whose own annihilator is that span, so the p = 0 test is exactly
+    membership of s in the rational span.
     """
-
-    exact = False
 
     def __init__(self, p: int, dim: int) -> None:
         self.p = p
         self.basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
 
     def contains(self, vec: Sequence[int]) -> bool:
+        dots = (sum(map(operator.mul, phi, vec)) for phi in self.basis)
         p = self.p
-        return all(sum(map(operator.mul, phi, vec)) % p == 0 for phi in self.basis)
+        if p:
+            return all(d % p == 0 for d in dots)
+        return not any(dots)
 
     def add(self, col: Sequence[int]) -> None:
         kept, live = [], []
@@ -172,18 +145,15 @@ def check_columns_partition(m: IntMatrix, part: ColumnsPartition) -> list[str]:
         return problems
 
     cols = m.columns()
-    first_sum = _vector_sum(cols[j - 1] for j in part.blocks[0])
-    if any(first_sum):
-        problems.append("first block does not sum to zero")
-    span = _Span()
-    for j in part.blocks[0]:
-        span.add(cols[j - 1])
-    for i, block in enumerate(part.blocks[1:], start=1):
-        s = _vector_sum(cols[j - 1] for j in block)
-        if not span.contains(s):
-            problems.append(f"block {i} sum is outside the span of earlier columns")
+    test = _Annihilator(0, m.num_rows)
+    for i, block in enumerate(part.blocks):
+        if not test.contains(_vector_sum(cols[j - 1] for j in block)):
+            problems.append(
+                f"block {i} sum is outside the span of earlier columns" if i
+                else "first block does not sum to zero"
+            )
         for j in block:
-            span.add(cols[j - 1])
+            test.add(cols[j - 1])
     return problems
 
 
@@ -199,11 +169,10 @@ def _vector_sum(vectors) -> tuple[int, ...]:
 def _greedy_levels(m: IntMatrix, test) -> tuple[list[tuple[int, ...]], list[int]]:
     """The greedy level loop behind both certificates.
 
-    `test` decides which block sums a level admits: a `_Span` of the
-    columns taken so far (Rado's columns property) or a `_ModAnnihilator`
+    `test` decides which block sums a level admits: an `_Annihilator` of
+    the columns taken so far, exact (Rado's columns property) or mod p
     (the mod-p proof).  Its bound `contains` tests one level's candidates
-    and `add` takes each column of the chosen block.  An exact test's
-    level 0 compares each block sum with zero directly.
+    and `add` takes each column of the chosen block.
 
     Each level tries the nonempty subsets of the r remaining columns by
     decreasing mask, bit r-1-i standing for the i-th remaining column: the
@@ -237,7 +206,6 @@ def _greedy_levels(m: IntMatrix, test) -> tuple[list[tuple[int, ...]], list[int]
         full = (1 << r) - 1
         bit_cols = [cols[remaining[r - 1 - b] - 1] for b in range(r)]
         total = _vector_sum(bit_cols)
-        zero_sum = test.exact and not blocks
         contains = test.contains
         # The candidate for complement c is the block full ^ c, whose sum is
         # total - comp[c].  The blocks run down from `full`, so c runs up
@@ -248,10 +216,7 @@ def _greedy_levels(m: IntMatrix, test) -> tuple[list[tuple[int, ...]], list[int]
             if c:
                 low = bit_cols[(c & -c).bit_length() - 1]
                 comp.append(tuple(map(operator.add, comp[c & (c - 1)], low)))
-            if zero_sum:
-                if comp[c] == total:
-                    break
-            elif contains(tuple(map(operator.sub, total, comp[c]))):
+            if contains(tuple(map(operator.sub, total, comp[c]))):
                 break
         else:
             return blocks, remaining
@@ -268,8 +233,8 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
 
     Deterministic: returns the first valid partition under lexicographic
     order on column-label vectors (block membership of low-index columns
-    decided first), found by `_greedy_levels` with the rational span as
-    its test.  A matrix with no rows has all-zero columns in Q^0, so the
+    decided first), found by `_greedy_levels` with the exact `_Annihilator`
+    as its test.  A matrix with no rows has all-zero columns in Q^0, so the
     single block S_0 = all columns always works there.
 
     Raises ColumnBudgetExceeded when the column count is above
@@ -278,7 +243,7 @@ def columns_property(m: IntMatrix) -> ColumnsPartition | None:
     """
     if m.num_rows == 0:
         return ColumnsPartition((tuple(range(1, m.num_cols + 1)),))
-    blocks, rest = _greedy_levels(m, _Span())
+    blocks, rest = _greedy_levels(m, _Annihilator(0, m.num_rows))
     if rest:
         return None
     part = ColumnsPartition(tuple(blocks))
@@ -309,13 +274,15 @@ def mod_proof(m: IntMatrix, primes: Sequence[int] | None = None) -> ModProof | N
 
     `primes` defaults to 2, 3, 5, ... up to the first prime above B = (the
     column count) * (the product of the num_rows largest column l1-norms,
-    each at least 1); then None means the columns property holds.  Proof:
-    let the exact loop stop after taking columns T, leaving R.  A nonempty
-    s in R sums outside the span of T, so a nonzero (k+1)-minor of [k
+    each at least 1); then None means the columns property holds.  The
+    exact loop runs first and returns that None without trying a prime: an
+    exact partition passes every mod-p test, so no prime has a proof (see
+    Soundness).  Proof of the bound: let the exact loop stop after taking
+    columns T, leaving R.  A nonempty s in R sums outside the span of T, so a nonzero (k+1)-minor of [k
     independent columns of T | sum(s)] gives an integer phi annihilating T
     with phi . sum(s) = D, 0 < |D| <= B by multilinearity and Hadamard's
-    bound.  The gcd g_s of phi . sum(s) over the `_ModAnnihilator` basis
-    of T divides D, so a prime above B divides no g_s: it admits T's exact
+    bound.  The gcd g_s of phi . sum(s) over the `_Annihilator` basis of
+    T divides D, so a prime above B divides no g_s: it admits T's exact
     blocks, then no block of R, and by the exchange lemma its loop stops.
 
     Soundness.  Let y be a solution that c_p composed with Omega colours
@@ -334,12 +301,14 @@ def mod_proof(m: IntMatrix, primes: Sequence[int] | None = None) -> ModProof | N
     ColumnBudgetExceeded like `columns_property`.
     """
     if primes is None:
+        if not _greedy_levels(m, _Annihilator(0, m.num_rows))[1]:
+            return None
         norms = sorted((max(1, sum(map(abs, col))) for col in m.columns()), reverse=True)
         bound = m.num_cols * math.prod(norms[: m.num_rows])
         last = next(filter(is_prime, itertools.count(bound + 1)))
         primes = filter(is_prime, range(2, last + 1))
     for p in primes:
-        blocks, rest = _greedy_levels(m, _ModAnnihilator(p, m.num_rows))
+        blocks, rest = _greedy_levels(m, _Annihilator(p, m.num_rows))
         if rest:
             proof = ModProof(p, tuple(blocks))
             problems = check_mod_proof(m, proof)
@@ -365,7 +334,7 @@ def check_mod_proof(m: IntMatrix, proof: ModProof) -> list[str]:
     if not (all(proof.blocks) and rest and sorted(taken + rest) == list(range(1, m.num_cols + 1))):
         return ["blocks are empty, overlap, leave no column or name one out of range"]
     cols = m.columns()
-    test = _ModAnnihilator(p, m.num_rows)
+    test = _Annihilator(p, m.num_rows)
     for j in taken:
         test.add(cols[j - 1])
     for size in range(1, len(rest) + 1):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 
 from helpers import REPO_ROOT
 
@@ -16,3 +19,19 @@ def test_no_function_body_imports_in_the_package():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     local.append(f"{path.name}:{node.lineno} in {getattr(func, 'name', 'lambda')}")
     assert local == []
+
+
+def test_cli_and_corpus_load_no_rational_arithmetic():
+    # both certificates test block sums with one integer annihilator, so a
+    # decide pays for neither module's import
+    code = (
+        "import sys, expreg.cli, expreg.corpus\n"
+        "print(sorted(m for m in ('decimal', 'fractions') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.stdout == "[]\n", proc.stderr

@@ -14,7 +14,7 @@ from expreg.rado import (
     ModProof,
     NotPrime,
     SelfCheckFailed,
-    _ModAnnihilator,
+    _Annihilator,
     check_columns_partition,
     check_mod_proof,
     columns_property,
@@ -39,6 +39,17 @@ from helpers import (
 )
 
 
+def _tall_rows(rng) -> list[list[int]]:
+    """5-8 rows of up to 6 columns, each an integer combination of 2-3
+    random base rows, so the rows outnumber their rank."""
+    cols = rng.randint(2, 6)
+    base = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(2, 3))]
+    return [
+        [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)]
+        for coeffs in ([rng.randint(-2, 2) for _ in base] for _ in range(rng.randint(5, 8)))
+    ]
+
+
 class TestInSpan:
     def test_scaled_vector(self):
         assert solves_in_span([(1, -1)], (2, -2))
@@ -49,6 +60,34 @@ class TestInSpan:
 
     def test_independent(self):
         assert not solves_in_span([(1, 0)], (0, 1))
+
+    def test_exact_annihilator_is_span_membership(self):
+        # columns drawn from at most 3 base vectors in up to 8 dimensions:
+        # tall, rank-deficient sets whose dimension is above their rank
+        rng = random.Random(18)
+
+        def combo(vectors, dim):
+            coeffs = [rng.randint(-3, 3) for _ in vectors]
+            return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(dim))
+
+        outcomes = []
+        for _ in range(400):
+            dim = rng.randint(1, 8)
+            base = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, 3))]
+            cols = [combo(base, dim) for _ in range(rng.randint(0, 5))]
+            test = _Annihilator(0, dim)
+            for col in cols:
+                test.add(col)
+            targets = [
+                combo(cols, dim),
+                combo(base, dim),
+                tuple(rng.randint(-3, 3) for _ in range(dim)),
+            ]
+            for target in targets:
+                expected = solves_in_span(cols, target)
+                assert test.contains(target) == expected, (cols, target)
+                outcomes.append(expected)
+        assert 300 < sum(outcomes) < 1000  # both outcomes are well represented
 
 
 class TestColumnsProperty:
@@ -138,6 +177,16 @@ class TestColumnsProperty:
             m = IntMatrix.from_rows(rows)
             part = columns_property(m)
             assert (part.blocks if part else None) == reference_columns_property(m), rows
+
+    def test_tall_matrices_match_backtracking_reference(self):
+        rng = random.Random(19)
+        regular = 0
+        for _ in range(300):
+            m = IntMatrix.from_rows(_tall_rows(rng))
+            part = columns_property(m)
+            assert (part.blocks if part else None) == reference_columns_property(m), m
+            regular += part is not None
+        assert 10 < regular < 290  # both outcomes
 
     # expected certificates computed once with reference_columns_property;
     # the backtracking search takes seconds on both not-PR matrices
@@ -244,6 +293,24 @@ class TestModProof:
                 assert columns_property(m) is None
         assert 20 < proved < 230  # both outcomes are well represented
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tall_matrices_agree_with_brute_force(self, p):
+        rng = random.Random(2000 + p)
+        proved = 0
+        for _ in range(150):
+            m = IntMatrix.from_rows(_tall_rows(rng))
+            proof = mod_proof(m, (p,))
+            assert (proof is None) == (brute_mod_p_partition(m, p) is not None), m
+            proved += proof is not None
+        assert 10 < proved < 140  # both outcomes
+
+    def test_pr_matrix_tries_no_prime(self, monkeypatch):
+        # B is 2 * 10**9 here; walking the primes up to it took about an hour
+        calls = []
+        monkeypatch.setattr(expreg.rado, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert mod_proof(IntMatrix.from_rows([[10**9, -10**9]])) is None
+        assert calls == []
+
     def test_pr_matrices_are_never_proved(self):
         rng = random.Random(31)
         regular = 0
@@ -260,7 +327,7 @@ class TestModProof:
     def test_annihilator_basis_spans_the_whole_lattice(self):
         # the rational kernel of (2, 1, 1) scales to (-1, 2, 0) and (-1, 0, 2),
         # whose residues mod 2 miss (0, 1, -1); the engine's basis does not
-        test = _ModAnnihilator(2, 3)
+        test = _Annihilator(2, 3)
         test.add((2, 1, 1))
         assert not test.contains((0, 1, 0))
         assert test.contains((0, 1, 1))

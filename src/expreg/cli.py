@@ -19,7 +19,7 @@ from pathlib import Path
 from . import dsl, search, witness
 from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
-from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, rado_colour
+from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, proof_primes, rado_colour
 from .search import DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
@@ -166,7 +166,7 @@ def build_decision_report(
                 report["witness"] = _witness_json(w)
     else:
         report["verdict"] = "not PR"
-        proof = mod_proof(lin.matrix, candidates)
+        proof = mod_proof(lin.matrix, candidates or proof_primes(lin.matrix))
         if proof is None and candidates is None:
             raise SelfCheckFailed("no prime proves a matrix without the columns property")
         if proof is None:

@@ -13,7 +13,7 @@ import random
 from .dsl import print_colouring
 from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
-from .rado import is_partition_regular, mod_proof
+from .rado import is_partition_regular, mod_proof, proof_primes
 from .search import (
     DEFAULT_CEILING,
     Mod,
@@ -91,7 +91,7 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
                     )
             continue
         out["npr"] += 1
-        spec = RadoPNu(mod_proof(lin.matrix).prime)
+        spec = RadoPNu(mod_proof(lin.matrix, proof_primes(lin.matrix)).prime)
         recheck = PICK_BOUNDS[min(nvars, 8)] + (1 if nvars >= 5 else 2)
         if search_witnesses(lin, spec, z_bound=z_bound) is not None:
             out["hard_failures"] += 1

@@ -10,6 +10,7 @@ parser and the printer share.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 from . import search
 from .eqsys import Edge, ExpSystem
@@ -247,7 +248,7 @@ def parse_colouring(text: str):
         return cls(parse_colouring(rest))
     if cls is search.Table:
         try:
-            content = open(rest, encoding="utf-8").read()
+            content = Path(rest).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot read table file: {exc}", 1, arg_col)
         return _parse_table(content)

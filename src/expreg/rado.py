@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -269,21 +269,32 @@ class ModProof(NamedTuple):
         return len(self.blocks)
 
 
-def mod_proof(m: IntMatrix, primes: Sequence[int] | None = None) -> ModProof | None:
+def proof_primes(m: IntMatrix) -> Iterator[int]:
+    """The primes 2, 3, 5, ... up to the first one above B = (the column
+    count) * (the product of the num_rows largest column l1-norms, each at
+    least 1): one of them proves any matrix without the columns property.
+
+    Proof: let the exact loop stop after taking columns T, leaving R.  A
+    nonempty s in R sums outside the span of T, so a nonzero (k+1)-minor of
+    [k independent columns of T | sum(s)] gives an integer phi annihilating
+    T with phi . sum(s) = D, 0 < |D| <= B by multilinearity and Hadamard's
+    bound.  The gcd g_s of phi . sum(s) over the `_Annihilator` basis of T
+    divides D, so a prime above B divides no g_s: it admits T's exact
+    blocks, then no block of R, and by the exchange lemma its loop stops.
+    """
+    norms = sorted((max(1, sum(map(abs, col))) for col in m.columns()), reverse=True)
+    bound = m.num_cols * math.prod(norms[: m.num_rows])
+    last = next(filter(is_prime, itertools.count(bound + 1)))
+    return filter(is_prime, range(2, last + 1))
+
+
+def mod_proof(m: IntMatrix, primes: Iterable[int] | None = None) -> ModProof | None:
     """The proof for the first of `primes` that has one, or None.
 
-    `primes` defaults to 2, 3, 5, ... up to the first prime above B = (the
-    column count) * (the product of the num_rows largest column l1-norms,
-    each at least 1); then None means the columns property holds.  The
-    exact loop runs first and returns that None without trying a prime: an
-    exact partition passes every mod-p test, so no prime has a proof (see
-    Soundness).  Proof of the bound: let the exact loop stop after taking
-    columns T, leaving R.  A nonempty s in R sums outside the span of T, so a nonzero (k+1)-minor of [k
-    independent columns of T | sum(s)] gives an integer phi annihilating T
-    with phi . sum(s) = D, 0 < |D| <= B by multilinearity and Hadamard's
-    bound.  The gcd g_s of phi . sum(s) over the `_Annihilator` basis of
-    T divides D, so a prime above B divides no g_s: it admits T's exact
-    blocks, then no block of R, and by the exchange lemma its loop stops.
+    `primes` defaults to `proof_primes(m)`, after an exact loop that
+    returns None at once when the columns property holds: then no prime
+    has a proof (see Soundness).  A caller that has seen the property fail
+    passes `proof_primes(m)` and skips that loop.
 
     Soundness.  Let y be a solution that c_p composed with Omega colours
     with one colour.  Omega is completely additive, so z = Omega(y) is a
@@ -303,10 +314,7 @@ def mod_proof(m: IntMatrix, primes: Sequence[int] | None = None) -> ModProof | N
     if primes is None:
         if not _greedy_levels(m, _Annihilator(0, m.num_rows))[1]:
             return None
-        norms = sorted((max(1, sum(map(abs, col))) for col in m.columns()), reverse=True)
-        bound = m.num_cols * math.prod(norms[: m.num_rows])
-        last = next(filter(is_prime, itertools.count(bound + 1)))
-        primes = filter(is_prime, range(2, last + 1))
+        primes = proof_primes(m)
     for p in primes:
         blocks, rest = _greedy_levels(m, _Annihilator(p, m.num_rows))
         if rest:

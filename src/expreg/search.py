@@ -9,9 +9,9 @@ as silent non-solutions, and every Found result re-verifies before it is
 reported.  The exponential search counts those skips class by class
 instead of walking each tuple, and reports the same numbers a walk would.
 It streams a class's rows of per-edge constraints, one per Y-tuple, and
-one walk over the rows answers both questions: the first solution, and
-the skips before the best one so far.  Many Y-tuples share a row, and the
-X-side work is done once per distinct row.  The constraints come from
+one walk over the rows answers both questions: the class's first
+solution, and its skips.  Many Y-tuples share a row, and the X-side work
+is done once per distinct row.  The constraints come from
 class tables that depend only on the class's values and the ceiling, so
 they are built once per process and shared by every search over the
 class; the colour classes themselves are computed afresh by each search.
@@ -21,7 +21,6 @@ its own and never reads those rows.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -236,9 +235,10 @@ def eval_exp(sys: ExpSystem, xs, ys, ceiling: int) -> list[str]:
 class SearchReport:
     """Outcome of an exhaustive monochromatic search.
 
-    `assignment` is the lexicographically first solution when one exists;
-    otherwise the full lattice was enumerated and `skipped` counts the
-    monochromatic candidates whose evaluation hit the ceiling.
+    `assignment` is the lexicographically first solution when one exists.
+    Either way the full lattice was searched, and `skipped` counts the
+    monochromatic candidates on which no edge fails and some edge hits the
+    ceiling, so it does not depend on which colour is called what.
     """
 
     var_low: int
@@ -290,18 +290,15 @@ def search_exp(
 
     A monochromatic assignment must give all X- and Y-variables the same
     colour, so the search runs per colour class and keeps the global
-    lexicographic-first winner (X-variables before Y-variables).  The
-    report is the one a tuple-by-tuple walk of the classes in colour order
-    would give, each walk stopping at the best solution found so far:
-    `skipped` counts the tuples before it (all of them, while there is
-    none) on which no edge fails and some edge hits the ceiling.  Those
-    tuples are counted per class, not enumerated, in one walk over the
-    class's Y-tuples; a class whose own first solution becomes the best
-    so far is walked a second time, to count below it.  See
-    `_ClassLattice`.  A var_bound or ceiling below 2 is a ValueError: every
-    value is at least 2, so the search would be vacuous.  A value in range
-    where the colouring is undefined raises Uncoloured: an exhausted report
-    must cover every value it names.
+    lexicographic-first winner (X-variables before Y-variables).
+    `skipped` counts the tuples of the whole box on which no edge fails
+    and some edge hits the ceiling, whether or not a solution exists.
+    Those tuples are counted per class, not enumerated, in one walk over
+    the class's Y-tuples that also finds the class's first solution; the
+    classes' counts add up.  See `_ClassLattice`.  A var_bound or ceiling
+    below 2 is a ValueError: every value is at least 2, so the search would
+    be vacuous.  A value in range where the colouring is undefined raises
+    Uncoloured: an exhausted report must cover every value it names.
     """
     check_var_bound(var_bound)
     if ceiling < 2:
@@ -310,15 +307,11 @@ def search_exp(
     nx = sys.num_vertices
     best: tuple[int, ...] | None = None
     skipped = 0
-    for colour in sorted(classes):
-        lattice = _ClassLattice(sys, classes[colour], ceiling)
-        first, unfailed = lattice.walk(below=best)
+    for values in classes.values():
+        first, skips = _ClassLattice(sys, values, ceiling).walk()
         if first is not None and (best is None or first < best):
             best = first
-            _, unfailed = lattice.walk(below=best, solve=False)
-        # no tuple before the first solution passes, so every unfailed one
-        # before the winner is a ceiling skip
-        skipped += unfailed
+        skipped += skips
     if best is not None:
         statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
         if any(s != PASS for s in statuses):
@@ -447,7 +440,8 @@ class _ClassLattice:
     repeat, since many Y-tuples leave the same constraints, and a walk
     does a row's X-side work once: its first passing X-part and its count
     serve every later Y-tuple with that row.  One walk over the rows both
-    finds the first passing assignment and counts the unfailed ones.
+    finds the first passing assignment and counts the ceiling skips: per
+    row, the unfailed X-tuples less the passing ones.
     """
 
     def __init__(self, sys: ExpSystem, values: list[int], ceiling: int) -> None:
@@ -532,44 +526,30 @@ class _ClassLattice:
                 read[j] = True
         return _Vertices(doms, preds, read)
 
-    def walk(
-        self, below: tuple[int, ...] | None, solve: bool = True
-    ) -> tuple[tuple[int, ...] | None, int]:
+    def walk(self) -> tuple[tuple[int, ...] | None, int]:
         """One pass over the class: its lexicographically first passing
-        assignment (None when there is none, or without `solve`), and the
-        number of assignments on which no edge fails, all of them or only
-        those sorting before `below`."""
-        nx = self.sys.num_vertices
+        assignment (None when there is none), and its ceiling skips, the
+        assignments on which no edge fails and not every edge passes."""
         values = self.tables.values
         first = first_ys = None
         total = 0
-        if below is not None:
-            below_xs, below_ys = below[:nx], below[nx:]
-        # per distinct row: its count, or (before, tie) against `below`
-        seen: dict[tuple, int | tuple[int, bool]] = {}
+        # per distinct row: its ceiling skips
+        seen: dict[tuple, int] = {}
         ys_tuples = itertools.product(values, repeat=self.sys.num_y)
         for ys, row in zip(ys_tuples, self._rows()):
             known = seen.get(row)
             if known is None:
+                known = self._vertices(row, passing=False).count(0)
+                passing = self._vertices(row, passing=True)
                 # a repeat's first X-part comes with a later Y-tuple, so
                 # only a row's first Y-tuple can give the first solution
-                if solve:
-                    vertices = self._vertices(row, passing=True)
-                    xs = None if vertices is None else vertices.first()
-                    if xs is not None and (first is None or xs < first):
+                xs = None if passing is None else passing.first()
+                if xs is not None:
+                    known -= passing.count(0)
+                    if first is None or xs < first:
                         first, first_ys = xs, ys
-                vertices = self._vertices(row, passing=False)
-                known = seen[row] = (
-                    vertices.count(0)
-                    if below is None
-                    else vertices.count_before(values, below_xs)
-                )
-            if below is None:
-                total += known
-            else:
-                before, tie = known
-                # a tuple whose X-part ties with `below` sorts before it by its Y-part
-                total += before + (tie and ys < below_ys)
+                seen[row] = known
+            total += known
         if first is None:
             return None, total
         return tuple(values[k] for k in first) + first_ys, total
@@ -654,28 +634,6 @@ class _Vertices:
             if p < m:
                 pending[p] = self._mask(order[p])
         return total
-
-    def count_before(self, values: tuple[int, ...], bound) -> tuple[int, bool]:
-        """Assignments sorting before the X-tuple `bound`, and whether
-        `bound` itself is one."""
-        total = 0
-        xs = self.xs
-        for i, v in enumerate(bound):
-            mask = self._mask(i)
-            k = bisect.bisect_left(values, v)
-            lower = mask & ((1 << k) - 1)
-            if lower and not self.branches[i]:
-                total += lower.bit_count() * self.count(i + 1)
-            else:
-                while lower:
-                    low = lower & -lower
-                    lower ^= low
-                    xs[i] = low.bit_length() - 1
-                    total += self.count(i + 1)
-            if k == len(values) or values[k] != v or not mask >> k & 1:
-                return total, False
-            xs[i] = k
-        return total, True
 
     def first(self) -> tuple[int, ...] | None:
         """The smallest assignment, as bit indices, or None."""

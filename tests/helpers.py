@@ -575,7 +575,8 @@ def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
 
 def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int) -> SearchReport:
     """The enumerator that search_exp replaced: every tuple of every colour
-    class in lexicographic order, each edge evaluated in turn.  Its
+    class in lexicographic order, each edge evaluated in turn.  It keeps the
+    smallest passing tuple and counts every ceiling skip in the box.  Its
     SearchReport is the one search_exp must return."""
     classes = _colour_classes(colouring, 2, var_bound)
     nx = sys.num_vertices
@@ -585,8 +586,6 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
     for colour in sorted(classes):
         values = classes[colour]
         for assignment in itertools.product(values, repeat=nvars):
-            if best is not None and assignment >= best:
-                break
             xs, ys = assignment[:nx], assignment[nx:]
             failed = ceilinged = False
             for e in sys.edges:
@@ -600,9 +599,8 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
                 continue
             if ceilinged:
                 skipped += 1
-                continue
-            best = assignment
-            break
+            elif best is None or assignment < best:
+                best = assignment
     if best is not None:
         statuses = eval_exp(sys, best[:nx], best[nx:], ceiling)
         assert all(s == PASS for s in statuses), "found assignment failed re-verification"

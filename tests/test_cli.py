@@ -338,6 +338,15 @@ class TestProofFirst:
         assert cert["proof"] == {"prime": 3, "level": 2, "blocks": [[2, 4], [3]]}
         assert counts["search.search_exp"] == 0
 
+    def test_not_pr_decide_runs_the_exact_loop_once(self, run_cli, fixture_path, monkeypatch):
+        # the exact loop, then the mod-2 and mod-3 loops; mod_proof does not
+        # repeat the exact loop that columns_property ran
+        names = ["rado._greedy_levels", "rado.columns_property"]
+        counts = _count_calls(monkeypatch, names)
+        code, _, _ = run_cli("decide", fixture_path("exp-npr.xps"), "--json")
+        assert code == 1
+        assert counts == {"rado._greedy_levels": 3, "rado.columns_property": 1}
+
     def test_proof_picks_the_prime_the_bounded_search_got_wrong(
         self, run_cli, fixture_path, monkeypatch
     ):

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -171,6 +174,15 @@ class TestColouringSpecs:
         path.write_text("default 3\n1 2 1\n")
         spec = parse_colouring(f"table:{path}")
         assert spec == Table((1, 2, 1), default=3)
+
+    def test_table_file_is_closed(self, tmp_path):
+        path = tmp_path / "colours.txt"
+        path.write_text("default 3\n1 2 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_colouring(f"table:{path}")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_print_round(self):
         texts = (

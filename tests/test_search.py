@@ -227,7 +227,25 @@ class TestSearchExp:
         s = parse_system((FIXTURES / "exp-npr.xps").read_text())
         report = search_exp(s, RadoPNu(2), 40, 10**6)
         assert report.assignment == (2, 16, 2, 4)
-        assert report.skipped == 10656
+        assert report.skipped == 2030848
+
+    def test_relabelled_colours_skip_the_same(self):
+        # the second table is the first with colours 0 and 1 swapped
+        s = parse_system((FIXTURES / "exp-npr.xps").read_text())
+        first, second = (
+            search_exp(s, Table((0, 1) * 20), 40, 10**6),
+            search_exp(s, Table((1, 0) * 20, default=1), 40, 10**6),
+        )
+        assert first == second
+        assert first.assignment == (2, 16, 2, 4)
+        assert first.skipped == 254787
+
+    def test_found_search_counts_the_whole_box(self):
+        # ceiling skips past the solution count as much as those before it
+        s = parse_system((FIXTURES / "exp-npr.xps").read_text())
+        report = search_exp(s, RadoPNu(2), 16, 10**6)
+        assert report.assignment == (2, 16, 2, 4)
+        assert report == reference_search_exp(s, RadoPNu(2), 16, 10**6)
 
     def test_npr_fixture_exhausts_under_radop_nu3(self):
         s = parse_system((FIXTURES / "exp-npr.xps").read_text())
@@ -260,7 +278,7 @@ class TestSearchExp:
     def test_self_check_rejects_a_wrong_assignment(self, monkeypatch):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
         monkeypatch.setattr(
-            expreg.search._ClassLattice, "walk", lambda self, below, solve=True: ((2, 2, 2, 2), 0)
+            expreg.search._ClassLattice, "walk", lambda self: ((2, 2, 2, 2), 0)
         )
         with pytest.raises(SelfCheckFailed):
             search_exp(s, Constant(0), 16, 10**6)
@@ -383,16 +401,15 @@ class TestClassRows:
 
     def test_later_class_with_a_smaller_solution(self):
         # colour 0 is {3, 5, 6, ..., 30} with first solution (3, 27, 3); colour
-        # 1 is {2, 4}, searched later, with (2, 4, 2).  Colour 1's first walk
-        # counts three unfailed tuples below the old winner: (2, 4, 2) itself,
-        # and (4, 2, 4) and (4, 4, 4) past the ceiling.  Its second walk
-        # counts none below the new winner.
+        # 1 is {2, 4}, with (2, 4, 2), the smaller one.  `skipped` counts the
+        # ceiling skips of both classes over the whole box, past either
+        # solution too: (4, 2, 4) and (4, 4, 4) among colour 1's.
         sys = ExpSystem(2, 1, (Edge(1, 2, (1,)),))
         spec = Table((0, 1, 0, 1))
         report = search_exp(sys, spec, 30, 64)
         assert report == reference_search_exp(sys, spec, 30, 64)
         assert report.assignment == (2, 4, 2)
-        assert report.skipped == 598
+        assert report.skipped == 19658
 
 
 class TestClassTables:
@@ -423,28 +440,6 @@ class TestClassTables:
         assert lattices[0].tables is lattices[1].tables
         assert lattices[2].tables is lattices[3].tables
         assert lattices[0].tables is not lattices[2].tables
-
-    def test_repeated_rows_in_the_below_walk(self, monkeypatch):
-        # colour 0 is {3, 6, 9} with first solution (3, 9, 3); colour 1,
-        # {2, 4, 5, 7, 8}, walked later, has (2, 4, 2).  Its walk below
-        # (2, 4, 2) meets rows already seen, whose X-part 2 ties with the
-        # winner's as a ceiling skip, at Y-tuples before (4, 2): the tie
-        # term runs per tuple on a reused row.
-        sys = ExpSystem(1, 2, (Edge(1, 1, (-1, 2)),))
-        spec = Table((1, 1, 0, 1, 1, 0, 1, 1, 0))
-        counted = []
-        original = expreg.search._Vertices.count_before
-
-        def count_before(self, values, bound):
-            counted.append(bound)
-            return original(self, values, bound)
-
-        monkeypatch.setattr(expreg.search._Vertices, "count_before", count_before)
-        report = search_exp(sys, spec, 9, 16)
-        assert report == reference_search_exp(sys, spec, 9, 16)
-        assert report == SearchReport(2, 9, 16, 3, (2, 4, 2), 10)
-        # the walk below (2, 4, 2) counts its 25 Y-tuples' 4 distinct rows
-        assert counted.count((2,)) == 4
 
     def test_cache_keeps_its_size(self):
         tables = expreg.search._class_tables
@@ -542,9 +537,10 @@ def test_search_witnesses_raises_on_uncoloured_towers():
 @pytest.mark.parametrize(
     "patch,call",
     [
-        (
-            "s._ClassLattice.walk = lambda self, below, solve=True: ((2, 2, 2, 2), 0)",
+        pytest.param(
+            "s._ClassLattice.walk = lambda self: ((2, 2, 2, 2), 0)",
             "s.search_exp(ExpSystem.square(2, [(1, 2, [1, 1])]), s.Constant(0), 16, 10**6)",
+            id="class-walk",
         ),
         (
             "rado.check_columns_partition = lambda m, part: ['broken']",

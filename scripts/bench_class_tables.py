@@ -12,15 +12,18 @@ checkout's own `src`:
            pass after pass.  The first pass is cold (nothing of the search
            cached in the interpreter), the later ones warm.
   runaway  `fixtures/four-var-npr.xps` under radop-nu:2 at variable
-           bounds 14 and 20, one search each, bound 14 first.
+           bounds 14, 20 and 40, one search each, in that order.
 
 Times are CPU seconds of the interpreter (`time.process_time`).  Rounds
 alternate which checkout goes first.  With `--reference`, each round also
 times `tests/helpers.reference_search_exp` (the tuple-by-tuple enumerator
-the search must agree with) on one corpus pass.  Every run's
-SearchReports must equal the first checkout's; a difference is an error.
-Printed: one JSON document with every time, the medians and the reports'
-digest.
+the search must agree with) on one corpus pass.  The first checkout is
+the baseline.  Every run's assignments must equal the baseline's, search
+by search, and its `skipped` may not exceed the baseline's on any search:
+a search that excludes the Y-tuples failing a cycle row skips a subset of
+what one without the rows skips.  Anything else is an error.  Printed:
+one JSON document with every time, the medians, the assignments' digest
+and each side's total skips.
 
 Usage, from the repository root:
     python3 scripts/bench_class_tables.py CHECKOUT [CHECKOUT ...] \\
@@ -40,7 +43,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RUNAWAY = REPO / "fixtures" / "four-var-npr.xps"
-RUNAWAY_BOUNDS = (14, 20)
+RUNAWAY_BOUNDS = (14, 20, 40)
 
 
 def _import(checkout: Path):
@@ -51,20 +54,21 @@ def _import(checkout: Path):
     return cli, search
 
 
-def _digest(reports) -> str:
-    text = repr([(r.assignment, r.skipped) for r in reports])
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _digest(assignments) -> str:
+    return hashlib.sha256(repr(assignments).encode()).hexdigest()[:16]
 
 
 def corpus_searches(cli, search, seed: int) -> list[tuple]:
-    """The (system, colouring, bound, ceiling) of every corpus cross-check."""
+    """The arguments of every corpus cross-check, as the checkout's decide
+    passes them: (system, colouring, bound, ceiling), and the system's
+    analysis where the checkout hands it over."""
     import workloads
 
     calls = []
     original = search.search_exp
 
-    def collect(sys_, colouring, bound, ceiling):
-        calls.append((sys_, colouring, bound, ceiling))
+    def collect(sys_, colouring, bound, ceiling, *rest):
+        calls.append((sys_, colouring, bound, ceiling, *rest))
         return search.SearchReport(2, bound, ceiling, sys_.num_vertices + sys_.num_y, None, 0)
 
     search.search_exp = collect
@@ -83,16 +87,26 @@ def measure_corpus(checkout: Path, seed: int, passes: int, reference: bool) -> d
     calls = corpus_searches(cli, search, seed)
     if reference:
         sys.path.insert(0, str(REPO / "tests"))
-        from helpers import reference_search_exp as run
+        from helpers import reference_search_exp
+
+        def run(*args):
+            return reference_search_exp(*args[:4])
     else:
         run = search.search_exp
-    times, digests = [], set()
+    times, results = [], []
     for _ in range(passes):
         start = time.process_time()
         reports = [run(*args) for args in calls]
         times.append(time.process_time() - start)
-        digests.add(_digest(reports))
-    return {"searches": len(calls), "pass_s": times, "digest": sorted(digests)}
+        results.append([(r.assignment, r.skipped) for r in reports])
+    if any(result != results[0] for result in results):
+        raise SystemExit("passes of one checkout differ")
+    return {
+        "searches": len(calls),
+        "pass_s": times,
+        "digest": _digest([a for a, _ in results[0]]),
+        "skipped": [s for _, s in results[0]],
+    }
 
 
 def measure_runaway(checkout: Path) -> dict:
@@ -153,14 +167,27 @@ def main() -> int:
         if args.reference:
             runs["reference"]["corpus"].append(_child(args.checkouts[0], "reference", args))
 
-    digests = {d for side in runs.values() for rnd in side["corpus"] for d in rnd["digest"]}
-    runaway = {
-        json.dumps({b: (v["found"], v["skipped"]) for b, v in rnd.items()})
-        for side in runs.values() for rnd in side.get("runaway", [])
-    }
-    if len(digests) != 1 or len(runaway) != 1:
-        print(json.dumps({"error": "reports differ", "digests": sorted(digests),
-                          "runaway": sorted(runaway)}), file=sys.stderr)
+    base = runs[names[0]]
+    base_skipped = base["corpus"][0]["skipped"]
+    base_runaway = base["runaway"][0]
+    problems, skipped_total = [], {}
+    for name, side in runs.items():
+        for rnd in side["corpus"]:
+            skipped = rnd.pop("skipped")
+            skipped_total[name] = sum(skipped)
+            if rnd["digest"] != base["corpus"][0]["digest"]:
+                problems.append(f"{name}: assignments differ")
+            if any(s > b for s, b in zip(skipped, base_skipped)):
+                problems.append(f"{name}: a search skips more than the baseline's")
+        for rnd in side.get("runaway", []):
+            for bound, v in rnd.items():
+                if v["found"] != base_runaway[bound]["found"]:
+                    problems.append(f"{name}: the runaway at bound {bound} differs")
+                if v["skipped"] > base_runaway[bound]["skipped"]:
+                    problems.append(f"{name}: the runaway at bound {bound} skips more")
+    if problems:
+        print(json.dumps({"error": "reports differ", "problems": sorted(set(problems))}),
+              file=sys.stderr)
         return 1
     summary = {}
     for name, side in runs.items():
@@ -170,6 +197,7 @@ def main() -> int:
             "warm_s": statistics.median(t for rnd in corpus for t in rnd["pass_s"][1:])
             if any(len(rnd["pass_s"]) > 1 for rnd in corpus) else None,
             "searches": corpus[0]["searches"],
+            "skipped_total": skipped_total[name],
         }
         for bound in RUNAWAY_BOUNDS:
             if side.get("runaway"):
@@ -178,8 +206,11 @@ def main() -> int:
                 )
     print(json.dumps({
         "seed": args.seed,
-        "digest": digests.pop(),
-        "runaway": json.loads(runaway.pop()),
+        "digest": base["corpus"][0]["digest"],
+        "runaway": {
+            name: {b: (v["found"], v["skipped"]) for b, v in side["runaway"][0].items()}
+            for name, side in runs.items() if side.get("runaway")
+        },
         "summary": summary,
         "rounds": runs,
     }, indent=2))

@@ -23,7 +23,7 @@ from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, proof_
 from .search import DEFAULT_CEILING
 from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 
 class CommandError(RuntimeError):
@@ -187,7 +187,7 @@ def build_decision_report(
             },
         }
         if verify_bound is not None:
-            outcome = search.search_exp(nsys, colouring, verify_bound, DEFAULT_CEILING)
+            outcome = search.search_exp(nsys, colouring, verify_bound, DEFAULT_CEILING, lin)
             if outcome.found:
                 raise SelfCheckFailed(
                     f"{cert['colouring']} colours {outcome.assignment} with one colour,"
@@ -345,6 +345,7 @@ def _render_decision(report: dict) -> str:
 
 def _search_report_json(rep: search.SearchReport) -> dict:
     return {
+        "version": REPORT_VERSION,
         "var_low": rep.var_low,
         "var_high": rep.var_high,
         "ceiling": rep.ceiling,

@@ -98,7 +98,7 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
             out["notes"].append(
                 f"system {index}: a lifted witness is monochromatic under {print_colouring(spec)}"
             )
-        elif search_exp(sys_, spec, recheck, DEFAULT_CEILING).found:
+        elif search_exp(sys_, spec, recheck, DEFAULT_CEILING, lin).found:
             out["hard_failures"] += 1
             out["notes"].append(
                 f"system {index}: emitted colouring {print_colouring(spec)} admitted a solution"

@@ -6,17 +6,21 @@ in its exponents; a plain value is the tower at level 0.
 Everything here is exhaustive and honest.  Assignments whose intermediate
 values would blow past the ceiling are skipped and counted, never treated
 as silent non-solutions, and every Found result re-verifies before it is
-reported.  The exponential search counts those skips class by class
-instead of walking each tuple, and reports the same numbers a walk would.
-It streams a class's rows of per-edge constraints, one per Y-tuple, and
-one walk over the rows answers both questions: the class's first
-solution, and its skips.  Many Y-tuples share a row, and the X-side work
-is done once per distinct row.  The constraints come from
-class tables that depend only on the class's values and the ceiling, so
-they are built once per process and shared by every search over the
-class; the colour classes themselves are computed afresh by each search.
-The re-verification goes through `eval_exp`, which evaluates each edge on
-its own and never reads those rows.
+reported.  The exponential search first excludes, by proof, every Y-tuple
+that fails a cycle row of the linear side: around a cycle the edge
+exponents compose, and X^e = X with X >= 2 forces e = 1, so a solution
+has prod Y_k^(r_k) = 1 for every row r.  Per colour class it enumerates
+only the Y-tuples that satisfy every row, from the free variables of an
+echelon form of the rows, and does the X-side work on those alone.  It
+counts their ceiling skips class by class instead of walking each
+X-tuple, and reports the numbers such a walk would give.  Many Y-tuples
+share a row of per-edge constraints, and the X-side work is done once per
+distinct row.  The constraints come from class tables that depend only on
+the class's values and the ceiling, so they are built once per process
+and shared by every search over the class; the colour classes themselves
+are computed afresh by each search.  The re-verification goes through
+`eval_exp`, which evaluates each edge on its own and never reads those
+rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .eqsys import ExpSystem
-from .graphs import LinearSystem
+from .graphs import LinearSystem, build_linear_system
 from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, lowest_digit
 from .witness import (
     Plain,
@@ -236,9 +240,11 @@ class SearchReport:
     """Outcome of an exhaustive monochromatic search.
 
     `assignment` is the lexicographically first solution when one exists.
-    Either way the full lattice was searched, and `skipped` counts the
-    monochromatic candidates on which no edge fails and some edge hits the
-    ceiling, so it does not depend on which colour is called what.
+    Either way the full lattice was searched.  A tuple whose Y-values fail
+    a cycle row of the linear side is excluded by proof: it solves nothing,
+    whatever its X-values.  `skipped` counts the other monochromatic
+    tuples on which no edge fails and some edge hits the ceiling, so it
+    does not depend on which colour is called what.
     """
 
     var_low: int
@@ -284,31 +290,42 @@ def check_var_bound(var_bound: int) -> None:
 
 
 def search_exp(
-    sys: ExpSystem, colouring: ColouringSpec, var_bound: int, ceiling: int
+    sys: ExpSystem,
+    colouring: ColouringSpec,
+    var_bound: int,
+    ceiling: int,
+    lin: LinearSystem | None = None,
 ) -> SearchReport:
     """First monochromatic solution of the system with all variables in [2, var_bound].
 
     A monochromatic assignment must give all X- and Y-variables the same
     colour, so the search runs per colour class and keeps the global
-    lexicographic-first winner (X-variables before Y-variables).
-    `skipped` counts the tuples of the whole box on which no edge fails
-    and some edge hits the ceiling, whether or not a solution exists.
-    Those tuples are counted per class, not enumerated, in one walk over
-    the class's Y-tuples that also finds the class's first solution; the
-    classes' counts add up.  See `_ClassLattice`.  A var_bound or ceiling
-    below 2 is a ValueError: every value is at least 2, so the search would
-    be vacuous.  A value in range where the colouring is undefined raises
-    Uncoloured: an exhausted report must cover every value it names.
+    lexicographic-first winner (X-variables before Y-variables).  Every
+    solution satisfies each cycle row r of the linear side as a product,
+    prod Y_k^(r_k) = 1, so each class walks only the Y-tuples that do (see
+    `_pivots` and `_ClassLattice`).  `skipped` counts, over those Y-tuples
+    of the whole box, the tuples on which no edge fails and some edge hits
+    the ceiling, whether or not a solution exists; the classes' counts add
+    up.  `lin` is the system's analysis, `build_linear_system(sys)`, built
+    here when not given.  A var_bound or ceiling below 2 is a ValueError:
+    every value is at least 2, so the search would be vacuous.  A value in
+    range where the colouring is undefined raises Uncoloured: an exhausted
+    report must cover every value it names.
     """
     check_var_bound(var_bound)
     if ceiling < 2:
         raise ValueError(f"ceiling {ceiling} is below 2, so every candidate would exceed it")
+    if lin is None:
+        lin = build_linear_system(sys)
+    elif lin.system != sys:
+        raise ValueError("lin is the analysis of another system")
+    pivots = _pivots(lin.matrix)
     classes = _colour_classes(colouring, 2, var_bound)
     nx = sys.num_vertices
     best: tuple[int, ...] | None = None
     skipped = 0
     for values in classes.values():
-        first, skips = _ClassLattice(sys, values, ceiling).walk()
+        first, skips = _ClassLattice(sys, values, ceiling, pivots).walk()
         if first is not None and (best is None or first < best):
             best = first
         skipped += skips
@@ -317,6 +334,44 @@ def search_exp(
         if any(s != PASS for s in statuses):
             raise SelfCheckFailed(f"found assignment {best} failed re-verification: {statuses}")
     return SearchReport(2, var_bound, ceiling, nx + sys.num_y, best, skipped)
+
+
+# A pivot of the reduced cycle rows: (column, a, terms), the row
+# a * Y[column] + sum(b * Y[free] for free, b in terms) = 0 on the
+# prime-exponent vectors, with a > 0.
+_Pivot = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _pivots(matrix: IntMatrix) -> tuple[_Pivot, ...]:
+    """A reduced echelon form of the rows, one pivot per row of a basis.
+
+    A pivot's terms hold free columns only: each pivot column is 0 in
+    every other pivot's row.  The steps are fraction-free, each row
+    divided by the gcd of its entries, so they keep the rational row
+    space.  A Y-tuple's prime-exponent vectors are integers, so they
+    satisfy the reduced rows exactly when they satisfy the given ones.
+    """
+    rows = [list(row) for row in matrix.entries if any(row)]
+    cols: list[int] = []
+    for col in range(matrix.num_cols):
+        r = len(cols)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        for j, row in enumerate(rows):
+            if j != r and row[col]:
+                row = [top[col] * x - row[col] * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                rows[j] = [x // g for x in row]
+        cols.append(col)
+    pivots = []
+    for row, col in zip(rows, cols):
+        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+        terms = tuple((k, x // g) for k, x in enumerate(row) if x and k != col)
+        pivots.append((col, row[col] // g, terms))
+    return tuple(pivots)
 
 
 # An edge's constraint on the X-vertices for one Y-tuple is a pair
@@ -339,8 +394,9 @@ _AT_CEILING = _Constraint((None, None))
 class _ClassTables:
     """What a colour class's constraints owe to its values and the ceiling
     alone, so every lattice over the class shares it: bounded powers, the
-    largest useful exponent, and the constraint of a loop or a link per
-    reduced exponent.  Bit i of a mask stands for values[i]."""
+    largest useful exponent, the constraint of a link per reduced exponent,
+    and the values by their exact powers.  Bit i of a
+    mask stands for values[i]."""
 
     def __init__(self, values: tuple[int, ...], ceiling: int) -> None:
         self.values = values
@@ -352,7 +408,7 @@ class _ClassTables:
             self.top, power = self.top + 1, power * values[0]
         self._powers: dict[int, tuple[list[int], int]] = {}
         self._links: dict[tuple[int, int], _Constraint] = {}
-        self._loops: dict[tuple[int, int], _Constraint] = {}
+        self._roots: dict[int, dict[int, int]] = {}
         # every constraint of the class by value, so that equal ones are one
         # object: a side is a mask for a loop and a tuple of masks for a link
         self._interned: dict[tuple, _Constraint] = {(None, None): _AT_CEILING}
@@ -378,6 +434,14 @@ class _ClassTables:
         k = self.power(c)[1]
         return self.full >> k << k
 
+    def root(self, a: int) -> dict[int, int]:
+        """values[i]**a -> i, uncapped: the value, if any, whose a-th power
+        a number is."""
+        roots = self._roots.get(a)
+        if roots is None:
+            roots = self._roots[a] = {v**a: i for i, v in enumerate(self.values)}
+        return roots
+
     def _intern(self, unfailed, passing) -> _Constraint:
         key = (unfailed, passing)
         return self._interned.setdefault(key, _Constraint(key))
@@ -401,17 +465,12 @@ class _ClassTables:
         return self._links[key]
 
     def loop(self, n: int, d: int) -> _Constraint:
-        """The constraint of x^n = x^d, for n/d reduced."""
-        key = (n, d)
-        if key not in self._loops:
-            if n == d:
-                # x^n = x^d for x >= 2 only when n = d, i.e. n = d = 1
-                constraint = self._intern(None, self.full ^ self.over_mask(1) or None)
-            else:
-                unfailed = self.over_mask(n) | self.over_mask(d)
-                constraint = self._intern(None if unfailed == self.full else unfailed, None)
-            self._loops[key] = constraint
-        return self._loops[key]
+        """The constraint of x^n = x^d, for n/d reduced.  A loop's exponent
+        is its own cycle row's product, so on a Y-tuple that satisfies the
+        rows n = d = 1: x passes wherever it is within the ceiling."""
+        if n != d:
+            raise SelfCheckFailed(f"loop exponent {n}/{d} on a Y-tuple that satisfies its row")
+        return self._intern(None, self.full ^ self.over_mask(1) or None)
 
 
 # One process's searches share a few dozen classes (14 across the bench
@@ -432,25 +491,32 @@ class _ClassLattice:
     index order, each to the intersection of the masks its loops and its
     edges to earlier vertices allow.
 
-    A row holds one constraint per edge for one Y-tuple.  Each edge's
-    exponents grow lazily, one variable at a time, over the class's power
-    tables, and each distinct exponent is resolved once per lattice to a
-    constraint of the class tables, so the rows stream in product order
-    and only the rows seen so far are held, never the lattice.  Rows
-    repeat, since many Y-tuples leave the same constraints, and a walk
-    does a row's X-side work once: its first passing X-part and its count
-    serve every later Y-tuple with that row.  One walk over the rows both
-    finds the first passing assignment and counts the ceiling skips: per
-    row, the unfailed X-tuples less the passing ones.
+    A row holds one constraint per edge for one Y-tuple, and only the
+    Y-tuples that satisfy every cycle row get one.  Without cycle rows
+    that is every Y-tuple, and the rows stream in product order: each
+    edge's exponents grow lazily, one variable at a time, over the
+    class's power tables.  With cycle rows, the free variables of
+    `_pivots` stream in product order the same way, and each pivot
+    variable is solved for: its a-th power must be the exact product its
+    row leaves, found among the class's a-th powers.  By unique
+    factorization that is the row on prime-exponent vectors.  Only a
+    solved tuple's row is built, from its own powers.
+    Each distinct exponent is resolved once per lattice to a constraint of
+    the class tables, and only the rows seen so far are held, never the
+    lattice.  Rows repeat, since many Y-tuples leave the same constraints,
+    and a walk does a row's X-side work once: its first passing X-part
+    and its count serve every later Y-tuple with that row.  One walk over
+    the rows both finds the first passing assignment and counts the
+    ceiling skips: per row, the unfailed X-tuples less the passing ones.
     """
 
-    def __init__(self, sys: ExpSystem, values: list[int], ceiling: int) -> None:
+    def __init__(
+        self, sys: ExpSystem, values: list[int], ceiling: int, pivots: tuple[_Pivot, ...]
+    ) -> None:
         self.sys = sys
         self.tables = tables = _class_tables(tuple(values), ceiling)
         # per edge: its constraint by unreduced exponent (num, den)
         self._constraints: list[dict[tuple[int, int], _Constraint]] = [{} for _ in sys.edges]
-        # per edge: (coefficient, power table) per Y-variable
-        self._factors = [[(c, tables.power(abs(c))[0]) for c in e.coeffs] for e in sys.edges]
         # per edge: its later endpoint, and its earlier one (None for a loop)
         self._ends = [
             (e.tail - 1, None)
@@ -467,6 +533,14 @@ class _ClassLattice:
             else lambda n, d: tables.link(d, n)
             for e in sys.edges
         ]
+        self._pivots = pivots
+
+    @functools.cached_property
+    def _factors(self) -> list[list[tuple[int, list[int]]]]:
+        """Per edge: (coefficient, power table) per Y-variable; built only
+        when some Y-tuple satisfies the rows."""
+        power = self.tables.power
+        return [[(c, power(abs(c))[0]) for c in e.coeffs] for e in self.sys.edges]
 
     def _constraint(self, k: int, cell: tuple[int, int]) -> _Constraint:
         """Edge k's constraint at the unreduced exponent cell = (num, den)."""
@@ -507,6 +581,56 @@ class _ClassLattice:
             columns.append(self._column(k, cells))
         return zip(*columns) if columns else itertools.repeat(())
 
+    def _tuples(self) -> Iterator[tuple[tuple[int, ...], tuple]]:
+        """(ys, row) per Y-tuple that satisfies every cycle row."""
+        if not self._pivots:
+            ys_tuples = itertools.product(self.tables.values, repeat=self.sys.num_y)
+            return zip(ys_tuples, self._rows())
+        return self._solved()
+
+    def _solved(self) -> Iterator[tuple[tuple[int, ...], tuple]]:
+        """(ys, row) per Y-tuple that satisfies the pivots, in product order
+        of the free variables."""
+        values = self.tables.values
+        pivot_cols = [col for col, _, _ in self._pivots]
+        free = [k for k in range(self.sys.num_y) if k not in pivot_cols]
+        roots = [self.tables.root(a) for _, a, _ in self._pivots]
+        # per pivot: the exact product (num, den) its row leaves for
+        # Y[col]**a, per free tuple
+        targets = []
+        for _, _, terms in self._pivots:
+            coeffs = dict(terms)
+            cells: Iterable[tuple[int, int]] = [(1, 1)]
+            for k in free:
+                b = coeffs.get(k, 0)
+                cells = _times(cells, -b, [v ** abs(b) for v in values])
+            targets.append(cells)
+        idx = [0] * self.sys.num_y
+        choices = itertools.product(range(len(values)), repeat=len(free))
+        for choice, *cells in zip(choices, *targets):
+            for col, table, (num, den) in zip(pivot_cols, roots, cells):
+                i = None if num % den else table.get(num // den)
+                if i is None:
+                    break
+                idx[col] = i
+            else:
+                for k, i in zip(free, choice):
+                    idx[k] = i
+                yield tuple(values[i] for i in idx), self._row(idx)
+
+    def _row(self, idx: list[int]) -> tuple:
+        """The row of the Y-tuple with values[i] for each i of idx."""
+        row = []
+        for k, factors in enumerate(self._factors):
+            num = den = 1
+            for (c, table), i in zip(factors, idx):
+                if c > 0:
+                    num *= table[i]
+                elif c < 0:
+                    den *= table[i]
+            row.append(self._constraints[k].get((num, den)) or self._constraint(k, (num, den)))
+        return tuple(row)
+
     def _vertices(self, row, passing: bool) -> "_Vertices | None":
         """Per-vertex constraints of one row: where every edge passes (None
         when some edge passes nowhere), or where no edge fails."""
@@ -531,28 +655,27 @@ class _ClassLattice:
         assignment (None when there is none), and its ceiling skips, the
         assignments on which no edge fails and not every edge passes."""
         values = self.tables.values
-        first = first_ys = None
+        first = None
         total = 0
-        # per distinct row: its ceiling skips
-        seen: dict[tuple, int] = {}
-        ys_tuples = itertools.product(values, repeat=self.sys.num_y)
-        for ys, row in zip(ys_tuples, self._rows()):
+        # per distinct row: its ceiling skips and its first passing X-part
+        seen: dict[tuple, tuple[int, tuple[int, ...] | None]] = {}
+        for ys, row in self._tuples():
             known = seen.get(row)
             if known is None:
-                known = self._vertices(row, passing=False).count(0)
+                skips = self._vertices(row, passing=False).count(0)
                 passing = self._vertices(row, passing=True)
-                # a repeat's first X-part comes with a later Y-tuple, so
-                # only a row's first Y-tuple can give the first solution
                 xs = None if passing is None else passing.first()
                 if xs is not None:
-                    known -= passing.count(0)
-                    if first is None or xs < first:
-                        first, first_ys = xs, ys
-                seen[row] = known
-            total += known
+                    skips -= passing.count(0)
+                known = seen[row] = (skips, xs)
+            total += known[0]
+            # the tuples do not come in product order once rows solve some
+            # Y-variables, so a row's every tuple may give the first solution
+            if known[1] is not None and (first is None or (known[1], ys) < first):
+                first = (known[1], ys)
         if first is None:
             return None, total
-        return tuple(values[k] for k in first) + first_ys, total
+        return tuple(values[k] for k in first[0]) + first[1], total
 
 
 def _times(cells: Iterable[tuple[int, int]], c: int, table: list[int]) -> Iterator:

@@ -573,12 +573,28 @@ def tree_path_sums(sys: ExpSystem, z) -> tuple[int, ...]:
 # tuple-by-tuple exponential search
 
 
+def holds_as_product(row, ys) -> bool:
+    """prod ys[k]**row[k] == 1, on exact integers: the multiplicative form of
+    a cycle row, which every solution's Y-values satisfy."""
+    num = den = 1
+    for c, y in zip(row, ys):
+        if c > 0:
+            num *= y**c
+        elif c < 0:
+            den *= y**-c
+    return num == den
+
+
 def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int) -> SearchReport:
     """The enumerator that search_exp replaced: every tuple of every colour
-    class in lexicographic order, each edge evaluated in turn.  It keeps the
-    smallest passing tuple and counts every ceiling skip in the box.  Its
-    SearchReport is the one search_exp must return."""
+    class in lexicographic order, each edge evaluated in turn.  A tuple
+    whose Y-values fail a row of `reference_linear_system` (its own
+    breadth-first cycles) is excluded; a solution satisfies every row.  It
+    keeps the smallest passing tuple and counts every ceiling skip of the
+    other tuples in the box.  Its SearchReport is the one search_exp must
+    return."""
     classes = _colour_classes(colouring, 2, var_bound)
+    rows = reference_linear_system(sys)[0].entries
     nx = sys.num_vertices
     nvars = nx + sys.num_y
     best: tuple[int, ...] | None = None
@@ -596,6 +612,9 @@ def reference_search_exp(sys: ExpSystem, colouring, var_bound: int, ceiling: int
                 if st == CEILING:
                     ceilinged = True
             if failed:
+                continue
+            if not all(holds_as_product(row, ys) for row in rows):
+                assert ceilinged, f"{assignment} passes every edge but fails a cycle row"
                 continue
             if ceilinged:
                 skipped += 1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 
 import expreg.cli
 from expreg import search
-from expreg.cli import _dump_json, build_decision_report
+from expreg.cli import REPORT_VERSION, _dump_json, build_decision_report
 from expreg.dsl import parse_system, print_system
 from expreg.eqsys import ExpSystem, normalize
 from expreg.rado import IntMatrix
@@ -367,8 +367,17 @@ class TestProofFirst:
         )
         assert found.assignment == (2, 16, 2, 4)
 
+    def test_cross_check_reads_the_one_analysis(self, run_cli, fixture_path, monkeypatch):
+        # the search takes its cycle rows from the analysis decide built
+        counts = _count_calls(monkeypatch, ["graphs.build_linear_system", "search.search_exp"])
+        argv = ("decide", fixture_path("exp-npr.xps"), "--verify-bound", "40", "--json")
+        code, out, _ = run_cli(*argv)
+        assert code == 1
+        assert json.loads(out)["certificate"]["verification"]["skipped"] == 0
+        assert counts == {"graphs.build_linear_system": 1, "search.search_exp": 1}
+
     def test_cross_check_solution_is_a_defect(self, run_cli, fixture_path, monkeypatch):
-        def found(sys, colouring, var_bound, ceiling):
+        def found(sys, colouring, var_bound, ceiling, lin=None):
             return search.SearchReport(2, var_bound, ceiling, 4, (2, 2, 2, 2), 0)
 
         monkeypatch.setattr(search, "search_exp", found)
@@ -541,9 +550,11 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["outcome"] == "found"
         assert doc["assignment"] == [2, 16, 2, 4]
+        assert doc["version"] == REPORT_VERSION
 
     def test_four_variable_search_exhausts(self, run_cli, fixture_path):
-        # 28,561 Y-tuples hold 1,458 distinct rows of edge constraints
+        # the loop X4^(Y1^2) = X4 gives the cycle row 2*Y1 = 0, which no
+        # Y1 >= 2 satisfies: no Y-tuple reaches the X-side, none is skipped
         code, out, _ = run_cli(
             "search",
             fixture_path("four-var-npr.xps"),
@@ -553,7 +564,7 @@ class TestOtherCommands:
             "14",
         )
         assert code == 0
-        assert out == "exhausted: no monochromatic solution (bounds [2,14], skipped 194488192)\n"
+        assert out == "exhausted: no monochromatic solution (bounds [2,14], skipped 0)\n"
 
     def test_search_rejects_an_empty_lattice(self, run_cli, fixture_path):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys as _sys
 
@@ -218,16 +219,20 @@ class TestSearchExp:
         assert report.assignment == (2, 16, 2, 2)
 
     def test_doubling_system_exhausts_under_radop_nu3(self):
+        # the cycle row 2*Y1 - Y2 = 0 asks for Y2 = Y1^2, which radop-nu:3
+        # never gives Y1's colour, so no tuple reaches the X-side
         s = ExpSystem.square(2, [(1, 2, [2, 0]), (1, 2, [0, 1])])
         report = search_exp(s, RadoPNu(3), 24, 10**6)
+        assert report == reference_search_exp(s, RadoPNu(3), 24, 10**6)
         assert report.exhausted
-        assert report.skipped > 0
+        assert report.skipped == 0
 
     def test_npr_fixture_found_under_single_colour(self):
         s = parse_system((FIXTURES / "exp-npr.xps").read_text())
         report = search_exp(s, RadoPNu(2), 40, 10**6)
         assert report.assignment == (2, 16, 2, 4)
-        assert report.skipped == 2030848
+        # only the Y-tuples with Y2 = Y1^2 can be skipped
+        assert report.skipped == 6279
 
     def test_relabelled_colours_skip_the_same(self):
         # the second table is the first with colours 0 and 1 swapped
@@ -238,7 +243,7 @@ class TestSearchExp:
         )
         assert first == second
         assert first.assignment == (2, 16, 2, 4)
-        assert first.skipped == 254787
+        assert first.skipped == 1583
 
     def test_found_search_counts_the_whole_box(self):
         # ceiling skips past the solution count as much as those before it
@@ -248,10 +253,12 @@ class TestSearchExp:
         assert report == reference_search_exp(s, RadoPNu(2), 16, 10**6)
 
     def test_npr_fixture_exhausts_under_radop_nu3(self):
+        # the colouring the mod-3 proof picks: no monochromatic Y-tuple
+        # satisfies the cycle row, so none is a ceiling skip
         s = parse_system((FIXTURES / "exp-npr.xps").read_text())
         report = search_exp(s, RadoPNu(3), 40, 10**6)
         assert report.exhausted
-        assert report.skipped == 294831
+        assert report.skipped == 0
 
     def test_uncoloured_value_in_range_raises(self):
         # omega:omega:mod:2 is undefined at every prime: their factor count is 1
@@ -274,6 +281,12 @@ class TestSearchExp:
             with pytest.raises(ValueError, match=f"ceiling {ceiling} is below 2"):
                 search_exp(s, Constant(0), 16, ceiling)
         assert search_exp(s, Constant(0), 16, 2).exhausted
+
+    def test_analysis_of_another_system_rejected(self):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        other = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1]), (1, 2, [1, 0])]))
+        with pytest.raises(ValueError, match="another system"):
+            search_exp(s, Constant(0), 9, 10**6, other)
 
     def test_self_check_rejects_a_wrong_assignment(self, monkeypatch):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
@@ -332,6 +345,79 @@ class TestSearchExpMatchesReference:
         assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
 
+def _system_of_rank(rng: random.Random, nx: int, ny: int, rank: int) -> ExpSystem:
+    """A random system on nx vertices and ny Y-variables whose cycle rows
+    have the given rank: a random spanning tree, then loops (and chords,
+    at full rank), some of them adding no rank, until the rows reach it.
+    Below full rank every loop's row vanishes on one exponent vector t in
+    {1, 2}^ny, so that Y = v^t satisfies the rows for every v."""
+    t = [rng.choice((1, 2)) for _ in range(ny)]
+    t[rng.randrange(ny)] = 1
+
+    def coeffs(orthogonal: bool) -> tuple[int, ...]:
+        c = [rng.randint(-1, 2) for _ in range(ny)]
+        if orthogonal:
+            k = t.index(1)
+            c[k] = -sum(cj * tj for j, (cj, tj) in enumerate(zip(c, t)) if j != k)
+        return tuple(c)
+
+    edges = []
+    for v in range(2, nx + 1):
+        u = rng.randint(1, v - 1)
+        edges.append(Edge(u, v, coeffs(False)) if rng.random() < 0.5 else Edge(v, u, coeffs(False)))
+    while True:
+        rows = build_linear_system(ExpSystem(nx, ny, tuple(edges))).matrix.entries
+        if ny - len(helpers.rational_kernel(rows, ny)) == rank:
+            return ExpSystem(nx, ny, tuple(edges))
+        v = rng.randint(1, nx)
+        if rank < ny:
+            edges.append(Edge(v, v, coeffs(True)))
+        else:
+            edges.append(Edge(rng.randint(1, nx), v, coeffs(False)))
+
+
+class TestRowFilter:
+    """Only the Y-tuples that satisfy every cycle row are walked; the
+    tuple-by-tuple reference tests each one against its own rows."""
+
+    def test_random_systems_of_every_rank(self):
+        rng = random.Random(2016)
+        bounds = {2: 30, 3: 14, 4: 9, 5: 7}
+        seen = set()
+        for nx in (1, 2):
+            for ny in (1, 2, 3):
+                for rank in range(ny + 1):
+                    for _ in range(6):
+                        sys = _system_of_rank(rng, nx, ny, rank)
+                        bound = bounds[nx + ny]
+                        spec = Table(tuple(rng.randrange(rng.randint(1, 3)) for _ in range(bound)))
+                        ceiling = rng.choice([64, 10**3, 10**6])
+                        report = search_exp(sys, spec, bound, ceiling)
+                        assert report == reference_search_exp(sys, spec, bound, ceiling), sys
+                        seen.add((rank > 0, report.found, report.skipped > 0))
+        # on cyclic systems too, some Y-tuples satisfy the rows: they give
+        # solutions and ceiling skips
+        assert {(True, True, False), (True, False, True), (True, True, True)} <= seen
+
+    def test_first_solution_of_a_repeated_row(self):
+        # the loop's row Y1 = Y3 leaves Y2, Y3 free, streamed in that order,
+        # so (Y1, Y2, Y3) = (3, 2, 3) comes before (2, 3, 2); both give the
+        # edge the exponent 6, one row, and the smaller tuple must win.
+        # Every value but 2, 3 and 64 has a colour of its own
+        sys = ExpSystem(2, 3, (Edge(1, 1, (1, 0, -1)), Edge(1, 2, (0, 1, 1))))
+        spec = Table(tuple(0 if v in (2, 3, 64) else v for v in range(1, 65)))
+        report = search_exp(sys, spec, 64, 10**6)
+        assert report == reference_search_exp(sys, spec, 64, 10**6)
+        assert report.assignment == (2, 64, 2, 3, 2)
+
+    def test_pivots_keep_the_integer_solutions(self):
+        # 2*Y1 + 2*Y2 - 4*Y3 = 0 and Y1 - Y2 = 0 reduce to Y1 = Y3, Y2 = Y3
+        matrix = IntMatrix.from_rows([[2, 2, -4], [1, -1, 0], [0, 0, 0]])
+        assert expreg.search._pivots(matrix) == ((0, 1, ((2, -1),)), (1, 1, ((2, -1),)))
+        # a loop X^(Y1^2) = X: Y1^2 = 1, which no value satisfies
+        assert expreg.search._pivots(IntMatrix.from_rows([[2, 0]])) == ((0, 1, ()),)
+
+
 class TestClassRows:
     """Shapes of the class rows that random systems rarely hit, each
     against the tuple-by-tuple reference."""
@@ -357,7 +443,8 @@ class TestClassRows:
                 10**6,
             ),
             (ExpSystem.square(2, [(1, 2, [0, -1]), (2, 1, [2, 0])]), Mod(2), 9, 10**6),
-            # loops with n = d (Y1 = Y2) and with n != d
+            # a loop whose row Y1 = Y2 some Y-tuples satisfy, and one whose
+            # row Y1 = 1 none does
             (ExpSystem.square(2, [(1, 1, [1, -1]), (1, 2, [0, 1])]), Constant(0), 9, 10**6),
             (ExpSystem.square(2, [(1, 1, [1, -1]), (2, 2, [1, 0])]), Constant(0), 9, 64),
             # n = d on a class wholly past the ceiling: colour 0 is {3, ..., 12},
@@ -433,7 +520,9 @@ class TestClassTables:
                 )
         assert (tables.cache_info().misses, tables.cache_info().hits) == (2, 4)
         lattices = [
-            expreg.search._ClassLattice(sys, list(range(2, 10)), ceiling)
+            expreg.search._ClassLattice(
+                sys, list(range(2, 10)), ceiling, expreg.search._pivots(build_linear_system(sys).matrix)
+            )
             for ceiling in (64, 10**6)
             for sys in systems
         ]
@@ -542,11 +631,12 @@ def test_search_witnesses_raises_on_uncoloured_towers():
             "s.search_exp(ExpSystem.square(2, [(1, 2, [1, 1])]), s.Constant(0), 16, 10**6)",
             id="class-walk",
         ),
-        (
+        pytest.param(
             "rado.check_columns_partition = lambda m, part: ['broken']",
             "rado.columns_property(IntMatrix.from_rows([[1, 1, -1]]))",
+            id="columns-partition",
         ),
-        ("pass", "rado._vector_sum([])"),
+        pytest.param("pass", "rado._vector_sum([])", id="vector-sum"),
         pytest.param(
             "rado.check_mod_proof = lambda m, proof: ['broken']",
             "rado.mod_proof(IntMatrix.from_rows([[2, -1]]), (3,))",

@@ -11,7 +11,8 @@ that fails a cycle row of the linear side: around a cycle the edge
 exponents compose, and X^e = X with X >= 2 forces e = 1, so a solution
 has prod Y_k^(r_k) = 1 for every row r.  Per colour class it enumerates
 only the Y-tuples that satisfy every row, from the free variables of an
-echelon form of the rows, and does the X-side work on those alone.  It
+echelon form of the rows, solving for the others on the values'
+prime-exponent keys, and does the X-side work on those alone.  It
 counts their ceiling skips class by class instead of walking each
 X-tuple, and reports the numbers such a walk would give.  Many Y-tuples
 share a row of per-edge constraints, and the X-side work is done once per
@@ -395,8 +396,8 @@ class _ClassTables:
     """What a colour class's constraints owe to its values and the ceiling
     alone, so every lattice over the class shares it: bounded powers, the
     largest useful exponent, the constraint of a link per reduced exponent,
-    and the values by their exact powers.  Bit i of a
-    mask stands for values[i]."""
+    and the values' prime-exponent keys.  Bit i of a mask stands for
+    values[i]."""
 
     def __init__(self, values: tuple[int, ...], ceiling: int) -> None:
         self.values = values
@@ -408,7 +409,7 @@ class _ClassTables:
             self.top, power = self.top + 1, power * values[0]
         self._powers: dict[int, tuple[list[int], int]] = {}
         self._links: dict[tuple[int, int], _Constraint] = {}
-        self._roots: dict[int, dict[int, int]] = {}
+        self._keys: dict[int, tuple[list[int], dict[int, int]]] = {}
         # every constraint of the class by value, so that equal ones are one
         # object: a side is a mask for a loop and a tuple of masks for a link
         self._interned: dict[tuple, _Constraint] = {(None, None): _AT_CEILING}
@@ -434,13 +435,28 @@ class _ClassTables:
         k = self.power(c)[1]
         return self.full >> k << k
 
-    def root(self, a: int) -> dict[int, int]:
-        """values[i]**a -> i, uncapped: the value, if any, whose a-th power
-        a number is."""
-        roots = self._roots.get(a)
-        if roots is None:
-            roots = self._roots[a] = {v**a: i for i, v in enumerate(self.values)}
-        return roots
+    def keys(self, base: int) -> tuple[list[int], dict[int, int]]:
+        """Each value's prime-exponent key, the sum of v_q(value) * base**i
+        over the primes q of the class (the i-th one met), and the value
+        index by key.  Keys add where values multiply: while no digit of a
+        sum of multiples of keys reaches the base in absolute value, two
+        such sums are equal iff their prime-exponent vectors are."""
+        keys = self._keys.get(base)
+        if keys is None:
+            place: dict[int, int] = {}
+            table = []
+            for v in self.values:
+                key, q = 0, 2
+                while v > 1:
+                    if q * q > v:
+                        q = v
+                    while v % q == 0:
+                        v //= q
+                        key += base ** place.setdefault(q, len(place))
+                    q += 1
+                table.append(key)
+            keys = self._keys[base] = (table, {key: i for i, key in enumerate(table)})
+        return keys
 
     def _intern(self, unfailed, passing) -> _Constraint:
         key = (unfailed, passing)
@@ -497,10 +513,11 @@ class _ClassLattice:
     edge's exponents grow lazily, one variable at a time, over the
     class's power tables.  With cycle rows, the free variables of
     `_pivots` stream in product order the same way, and each pivot
-    variable is solved for: its a-th power must be the exact product its
-    row leaves, found among the class's a-th powers.  By unique
-    factorization that is the row on prime-exponent vectors.  Only a
-    solved tuple's row is built, from its own powers.
+    variable is solved for on prime-exponent keys: a times its key must be
+    the sum its row leaves, a * key(Y[col]) = -sum(b * key(Y[free])),
+    which is the row on prime-exponent vectors.  Keys stay small whatever
+    the coefficients, where exact powers would not.  Only a solved tuple's
+    row is built, from its own bounded powers.
     Each distinct exponent is resolved once per lattice to a constraint of
     the class tables, and only the rows seen so far are held, never the
     lattice.  Rows repeat, since many Y-tuples leave the same constraints,
@@ -594,22 +611,25 @@ class _ClassLattice:
         values = self.tables.values
         pivot_cols = [col for col, _, _ in self._pivots]
         free = [k for k in range(self.sys.num_y) if k not in pivot_cols]
-        roots = [self.tables.root(a) for _, a, _ in self._pivots]
-        # per pivot: the exact product (num, den) its row leaves for
-        # Y[col]**a, per free tuple
+        # a digit of a cell or of a * key is below bitlen * (a + sum |b|)
+        # in absolute value, so with this odd base no digit carries
+        weight = max(a + sum(abs(b) for _, b in terms) for _, a, terms in self._pivots)
+        keys, index = self.tables.keys(2 * values[-1].bit_length() * weight + 1)
+        # per pivot: the key sum its row leaves for a * key(Y[col]), per
+        # free tuple
         targets = []
         for _, _, terms in self._pivots:
             coeffs = dict(terms)
-            cells: Iterable[tuple[int, int]] = [(1, 1)]
+            cells: Iterable[int] = [0]
             for k in free:
-                b = coeffs.get(k, 0)
-                cells = _times(cells, -b, [v ** abs(b) for v in values])
+                cells = _plus(cells, [-coeffs.get(k, 0) * key for key in keys])
             targets.append(cells)
         idx = [0] * self.sys.num_y
         choices = itertools.product(range(len(values)), repeat=len(free))
         for choice, *cells in zip(choices, *targets):
-            for col, table, (num, den) in zip(pivot_cols, roots, cells):
-                i = None if num % den else table.get(num // den)
+            for (col, a, _), cell in zip(self._pivots, cells):
+                key, rest = divmod(cell, a)
+                i = None if rest else index.get(key)
                 if i is None:
                     break
                 idx[col] = i
@@ -676,6 +696,11 @@ class _ClassLattice:
         if first is None:
             return None, total
         return tuple(values[k] for k in first[0]) + first[1], total
+
+
+def _plus(cells: Iterable[int], table: list[int]) -> Iterator[int]:
+    """Each cell plus each entry of the table, in product order; lazy."""
+    return (cell + x for cell in cells for x in table)
 
 
 def _times(cells: Iterable[tuple[int, int]], c: int, table: list[int]) -> Iterator:

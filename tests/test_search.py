@@ -410,6 +410,24 @@ class TestRowFilter:
         assert report == reference_search_exp(sys, spec, 64, 10**6)
         assert report.assignment == (2, 64, 2, 3, 2)
 
+    def test_large_row_coefficients(self):
+        # the solve works on prime-exponent keys, whose size does not grow
+        # with the coefficients; the reference tests each tuple's row on
+        # exact powers.  A loop's exponent is its row: Y1^e = Y2 and
+        # Y1 = Y2^e hold at e = 3 only, Y1^e = Y2^e and Y1^e = (Y2*Y3)^e at
+        # every e; at e = 10^4 their exponent's powers pass the ceiling
+        shapes = (((3, -1), 12), ((1, -3), 12), ((3, -3), 12), ((3, -3, -3), 8))
+        seen = set()
+        for e in (3, 10, 100, 10**4):
+            for coeffs, bound in shapes:
+                coeffs = tuple(c * e // 3 if abs(c) == 3 else c for c in coeffs)
+                sys = ExpSystem(1, len(coeffs), (Edge(1, 1, coeffs),))
+                for spec in (Constant(0), RadoPNu(2)):
+                    report = search_exp(sys, spec, bound, 10**6)
+                    assert report == reference_search_exp(sys, spec, bound, 10**6), (sys, spec)
+                    seen.add((e, report.found, report.skipped > 0))
+        assert {(3, True, False), (10**4, False, True), (10**4, False, False)} <= seen
+
     def test_pivots_keep_the_integer_solutions(self):
         # 2*Y1 + 2*Y2 - 4*Y3 = 0 and Y1 - Y2 = 0 reduce to Y1 = Y3, Y2 = Y3
         matrix = IntMatrix.from_rows([[2, 2, -4], [1, -1, 0], [0, 0, 0]])

@@ -125,6 +125,8 @@ def build_decision_report(
     sys0 = dsl.parse_system(text)
     nsys, relabel = normalize(sys0)
     lin = build_linear_system(nsys)
+    # decided before the report is built, so a column budget cuts it short
+    part = columns_property(lin.matrix)
 
     warnings = []
     if nsys.num_vertices < sys0.num_vertices:
@@ -147,8 +149,6 @@ def build_decision_report(
         "linear_system": _linear_json(lin),
         "witness": None,
     }
-
-    part = columns_property(lin.matrix)
     if part is not None:
         report["verdict"] = "PR"
         report["certificate"] = {

@@ -30,7 +30,8 @@ class IndexOutOfRange(ParseError):
 
 
 # every character of a line starts a token or is skipped as blank space;
-# one that starts none is `bad`, so one pass finds the first bad character
+# one that starts none is `bad`, so one pass finds the first bad character.
+# A symbol's kind is its own text; a cursor ends each line with an `end` token.
 _TOKEN = re.compile(
     r"[ \t]*(?:(?P<word>[A-Za-z][A-Za-z0-9-]*)|(?P<num>-?\d+)|(?P<sym>[\^*=:])|(?P<bad>[^ \t]))"
 )
@@ -40,36 +41,34 @@ def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        token = m.group(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, m.start(kind) + 1)
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+            raise ParseError(f"unexpected character {token!r}", lineno, m.start(kind) + 1)
+        tokens.append((token if kind == "sym" else kind, token, m.start(kind) + 1))
     return tokens
 
 
 class _Cursor:
     def __init__(self, tokens, lineno: int, line_len: int) -> None:
-        self.tokens = tokens
+        self.tokens = tokens + [("end", "", line_len + 1)]
         self.lineno = lineno
-        self.line_len = line_len
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
-    def next(self, expect: str | None = None, what: str = "token"):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}, found end of line", self.lineno, self.line_len + 1)
-        kind, text, col = tok
-        if expect is not None and kind != expect:
-            raise ParseError(f"expected {what}, found {text!r}", self.lineno, col)
+    def next(self, expect: str, what: str):
+        kind, text, col = tok = self.tokens[self.i]
+        if kind != expect:
+            found = "end of line" if kind == "end" else repr(text)
+            raise ParseError(f"expected {what}, found {found}", self.lineno, col)
         self.i += 1
         return tok
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok[1]!r}", self.lineno, tok[2])
+        kind, text, col = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {text!r}", self.lineno, col)
 
     def int_token(self, what: str = "integer") -> int:
         _, text, _ = self.next("num", what)
@@ -90,22 +89,19 @@ def _var_index(cur: _Cursor, prefix: str, n: int) -> int:
 
 def _parse_monomial(cur: _Cursor, n: int) -> tuple[int, ...]:
     coeffs = [0] * n
-    tok = cur.peek()
-    if tok is not None and tok[0] == "num" and tok[1] == "1":
-        cur.next()
+    if cur.peek()[:2] == ("num", "1"):
+        cur.next("num", "'1'")
         return tuple(coeffs)
     while True:
         idx = _var_index(cur, "Y", n)
         exponent = 1
-        tok = cur.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "^":
-            cur.next()
+        if cur.peek()[0] == "^":
+            cur.next("^", "'^'")
             exponent = cur.int_token("exponent")
         coeffs[idx - 1] += exponent  # repeated Y-variables sum their exponents
-        tok = cur.peek()
-        if tok is None or tok[0] != "sym" or tok[1] != "*":
+        if cur.peek()[0] != "*":
             break
-        cur.next()
+        cur.next("*", "'*'")
     return tuple(coeffs)
 
 
@@ -119,7 +115,7 @@ def parse_system(text: str) -> ExpSystem:
     n: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw.rstrip("\r"))
+        line = _strip_comment(raw)
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue
@@ -137,13 +133,9 @@ def parse_system(text: str) -> ExpSystem:
             raise ParseError("duplicate 'system' header", lineno, col)
         if word == "eq":
             tail = _var_index(cur, "X", n)
-            _, text_, col_ = cur.next("sym", "'^'")
-            if text_ != "^":
-                raise ParseError(f"expected '^', found {text_!r}", lineno, col_)
+            cur.next("^", "'^'")
             coeffs = _parse_monomial(cur, n)
-            _, text_, col_ = cur.next("sym", "'='")
-            if text_ != "=":
-                raise ParseError(f"expected '=', found {text_!r}", lineno, col_)
+            cur.next("=", "'='")
             head = _var_index(cur, "X", n)
             cur.done()
             edges.append(Edge(tail, head, coeffs))
@@ -151,9 +143,7 @@ def parse_system(text: str) -> ExpSystem:
             _, tail_text, tail_col = cur.next("num", "tail vertex")
             _, head_text, head_col = cur.next("num", "head vertex")
             tail, head = int(tail_text), int(head_text)
-            _, text_, col_ = cur.next("sym", "':'")
-            if text_ != ":":
-                raise ParseError(f"expected ':', found {text_!r}", lineno, col_)
+            cur.next(":", "':'")
             if not 1 <= tail <= n:
                 raise IndexOutOfRange(f"tail {tail} out of range 1..{n}", lineno, tail_col)
             if not 1 <= head <= n:
@@ -192,7 +182,7 @@ def parse_matrix(text: str) -> IntMatrix:
     rows = []
     width: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw.rstrip("\r"))
+        line = _strip_comment(raw)
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue

@@ -682,12 +682,10 @@ class _ClassLattice:
         for ys, row in self._tuples():
             known = seen.get(row)
             if known is None:
-                skips = self._vertices(row, passing=False).count(0)
+                skips, _ = self._vertices(row, passing=False).count()
                 passing = self._vertices(row, passing=True)
-                xs = None if passing is None else passing.first()
-                if xs is not None:
-                    skips -= passing.count(0)
-                known = seen[row] = (skips, xs)
+                passed, xs = (0, None) if passing is None else passing.count()
+                known = seen[row] = (skips - passed, xs)
             total += known[0]
             # the tuples do not come in product order once rows solve some
             # Y-variables, so a row's every tuple may give the first solution
@@ -720,8 +718,8 @@ class _Vertices:
     Vertex i may take the bits of doms[i] that every (j, table) in
     preds[i] allows: table[k] is the mask permitted when vertex j < i
     holds bit k, and branches[j] says whether any such table exists.  The
-    walks below keep an explicit stack, so their depth is not bounded by
-    the recursion limit.
+    walk keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
 
     def __init__(
@@ -740,29 +738,42 @@ class _Vertices:
             mask &= table[xs[j]]
         return mask
 
-    def count(self, start: int) -> int:
-        """Completions of the assignment of vertices before `start`."""
+    def count(self) -> tuple[int, tuple[int, ...] | None]:
+        """The number of assignments, and the smallest one as bit indices
+        (None when there is none).
+
+        Every pred of a vertex branches.  A vertex that no later vertex
+        reads changes no other vertex's mask, so its smallest allowed value
+        is the lexicographic choice; the walk tries the branching vertices
+        in index order, lowest bit first, and backtracks on an empty mask,
+        so its first leaf holds the smallest feasible choice at each."""
         # a vertex with no edge to an earlier one that no later one reads
         # has a constant mask, whose size is a factor of every completion
         factor = 1
         order = []
-        for i in range(start, len(self.doms)):
+        for i in range(len(self.doms)):
             if self.preds[i] or self.branches[i]:
                 order.append(i)
             else:
                 factor *= self.doms[i].bit_count()
+        if not factor:
+            return 0, None
         m = len(order)
-        if not m or not factor:
-            return factor
         xs, branches = self.xs, self.branches
         pending = [0] * (m + 1)
         weight = [factor] * (m + 1)
         total = 0
-        pending[0] = self._mask(order[0])
+        first = None
+        if m:
+            pending[0] = self._mask(order[0])
         p = 0
         while p >= 0:
             if p == m:
                 total += weight[m]
+                if first is None:
+                    first = tuple(
+                        x if branches[i] else _low_bit(self._mask(i)) for i, x in enumerate(xs)
+                    )
                 p -= 1
                 continue
             mask = pending[p]
@@ -781,30 +792,11 @@ class _Vertices:
             p += 1
             if p < m:
                 pending[p] = self._mask(order[p])
-        return total
+        return total, first
 
-    def first(self) -> tuple[int, ...] | None:
-        """The smallest assignment, as bit indices, or None."""
-        nx = len(self.doms)
-        xs = self.xs
-        pending = [0] * (nx + 1)
-        if nx:
-            pending[0] = self._mask(0)
-        i = 0
-        while i >= 0:
-            if i == nx:
-                return tuple(xs)
-            mask = pending[i]
-            if not mask:
-                i -= 1
-                continue
-            low = mask & -mask
-            pending[i] = mask ^ low
-            xs[i] = low.bit_length() - 1
-            i += 1
-            if i < nx:
-                pending[i] = self._mask(i)
-        return None
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _solution_value_sets(matrix: IntMatrix, bound: int) -> list[tuple[int, ...]]:

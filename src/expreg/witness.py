@@ -156,9 +156,6 @@ def iter_positive_solutions(a: IntMatrix, bound: int):
                 return False
         return True
 
-    if n == 0:
-        yield ()
-        return
     # prefix[-1] is the value under trial in the deepest column so far
     prefix = [0]
     while prefix:

@@ -166,6 +166,18 @@ class TestDecide:
             run_cli("decide")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", ["--a", "--b"])
+    def test_witness_base_below_two_exits_2(self, fixture_path, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            expreg.cli.main(["decide", fixture_path("exp-pr.xps"), option, "1"])
+        assert exc.value.code == 2
+        assert "witness bases must be at least 2" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, run_cli, tmp_path):
+        code, out, err = run_cli("decide", str(tmp_path / "absent.xps"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path / 'absent.xps'}: ")
+
     def test_shift_warnings_name_each_shifted_component(self):
         # raw levels: component 1 reaches -2 at vertex 2, component 4
         # reaches -3 at vertex 5, the isolated vertex 6 stays at 0
@@ -535,6 +547,11 @@ class TestOtherCommands:
         code, _, err = run_cli("witness", fixture_path("exp-npr.xps"), "--z", "1,1")
         assert code == 2
         assert "cycle constraint" in err
+
+    def test_witness_rejects_a_non_integer_z(self, run_cli, fixture_path):
+        code, out, err = run_cli("witness", fixture_path("exp-pr.xps"), "--z", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: --z expects a comma-separated integer vector, got '1,x'\n"
 
     def test_search_command(self, run_cli, fixture_path):
         code, out, _ = run_cli(

@@ -99,12 +99,34 @@ class TestParseErrors:
             ("eq X1 ^ Y1 = X03", "X03 out of range 1..2", 14),
             ("eq X1 ^ Y1^", "expected exponent, found end of line", 12),
             ("eq X1 ^ Y1^  ", "expected exponent, found end of line", 14),
+            # a symbol where another symbol belongs
+            ("eq X1 * Y1 = X2", "expected '^', found '*'", 7),
+            ("eq X1 ^ Y1 : X2", "expected '=', found ':'", 12),
+            ("edge 1 2 = 1 1", "expected ':', found '='", 10),
+            ("eq X1 ^ Y1 * = X2", "expected Y-variable, found '='", 14),
+            ("eq X1 ^ Y1 ^ Y2 = X2", "expected exponent, found 'Y2'", 14),
+            ("eq X1 ^ Y1", "expected '=', found end of line", 11),
+            ("eq X1 ^ Y1 = X2 X1", "unexpected trailing 'X1'", 17),
+            ("edge 3 1 : 1 1", "tail 3 out of range 1..2", 6),
+            ("edge 1 0 : 1 1", "head 0 out of range 1..2", 8),
+            ("system 2", "duplicate 'system' header", 1),
+            ("equation X1 ^ Y1 = X2", "unknown statement 'equation'", 1),
         ],
     )
     def test_error_position(self, line, message, column):
         with pytest.raises(ParseError) as err:
             parse_system(f"system 2\n{line}\n")
         assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+
+    @pytest.mark.parametrize("header", ["system 0", "system -1"])
+    def test_variable_count_below_one(self, header):
+        with pytest.raises(ParseError) as err:
+            parse_system(f"{header}\n")
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "variable count must be at least 1",
+            1,
+            1,
+        )
 
 
 @settings(max_examples=500, deadline=None)

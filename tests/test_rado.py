@@ -142,6 +142,26 @@ class TestColumnsProperty:
             if part is not None:
                 assert check_columns_partition(m, part) == []
 
+    @pytest.mark.parametrize(
+        "blocks,problems",
+        [
+            (((1, 2), ()), ["empty block", "blocks do not cover all columns"]),
+            (((1, 2), (4,)), ["column index 4 out of range", "blocks do not cover all columns"]),
+            (((1, 2, 2), (3,)), ["column 2 appears twice"]),
+            (
+                ((1,), (2, 3)),
+                [
+                    "first block does not sum to zero",
+                    "block 1 sum is outside the span of earlier columns",
+                ],
+            ),
+            (((1, 2), (3,)), ["block 1 sum is outside the span of earlier columns"]),
+        ],
+    )
+    def test_check_names_every_unsound_partition(self, blocks, problems):
+        m = IntMatrix.from_rows([[1, -1, 0], [0, 0, 1]])
+        assert check_columns_partition(m, ColumnsPartition(blocks)) == problems
+
     def test_matches_brute_force_enumeration(self):
         # same first-found partition as the label-vector oracle, including order
         rng = random.Random(17)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -515,6 +516,37 @@ class TestClassRows:
         assert report == reference_search_exp(sys, spec, 30, 64)
         assert report.assignment == (2, 4, 2)
         assert report.skipped == 19658
+
+
+class TestVertices:
+    def test_count_and_first_match_every_assignment(self):
+        # random systems of up to 6 vertices over up to 5 values, with edges
+        # to earlier vertices at 35 % density, against a brute force that
+        # tries every assignment in lexicographic order
+        rng = random.Random(24)
+        found = 0
+        for _ in range(3000):
+            n, v = rng.randint(0, 6), rng.randint(1, 5)
+            doms = [rng.getrandbits(v) for _ in range(n)]
+            preds = [[] for _ in range(n)]
+            branches = [False] * n
+            for i in range(n):
+                for j in range(i):
+                    if rng.random() < 0.35:
+                        preds[i].append((j, tuple(rng.getrandbits(v) for _ in range(v))))
+                        branches[j] = True
+            allowed = [
+                xs
+                for xs in itertools.product(range(v), repeat=n)
+                if all(
+                    doms[i] >> x & 1 and all(table[xs[j]] >> x & 1 for j, table in preds[i])
+                    for i, x in enumerate(xs)
+                )
+            ]
+            count = expreg.search._Vertices(doms, preds, branches).count()
+            assert count == (len(allowed), allowed[0] if allowed else None)
+            found += bool(allowed)
+        assert 0 < found < 3000
 
 
 class TestClassTables:

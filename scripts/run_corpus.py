@@ -18,11 +18,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--z-bound", type=int, default=12)
     args = parser.parse_args()
 
     start = time.time()
-    result = run_experiment(args.count, args.seed, args.z_bound)
+    result = run_experiment(args.count, args.seed)
     for note in result["notes"]:
         print(note)
 

@@ -21,7 +21,7 @@ from .eqsys import ExpSystem, normalize
 from .graphs import LinearSystem, build_linear_system
 from .rado import SelfCheckFailed, columns_property, is_prime, mod_proof, proof_primes, rado_colour
 from .search import DEFAULT_CEILING
-from .witness import Plain, Tower, Witness, find_positive_solution, lift, prime_omega
+from .witness import Witness, find_positive_solution, lift, prime_omega
 
 REPORT_VERSION = 4
 
@@ -32,14 +32,6 @@ class CommandError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _tower_json(tv) -> dict:
-    if isinstance(tv, Plain):
-        return {"kind": "plain", "value": tv.value}
-    if not isinstance(tv, Tower):
-        raise TypeError(f"not a tower value: {tv!r}")
-    return {"kind": "tower", "base": tv.base, "expbase": tv.expbase, "level": tv.level}
 
 
 def _system_json(sys: ExpSystem, relabel: dict[int, int] | None = None) -> dict:
@@ -64,14 +56,15 @@ def _linear_json(lin: LinearSystem) -> dict:
 
 
 def _witness_json(w: Witness) -> dict:
-    # verified, because lift raises SelfCheckFailed unless every edge holds
+    # verified, because lift raises SelfCheckFailed unless every edge holds;
+    # x_i = a**(b**k_i) stays symbolic, y_i = b**z_i is written out
     return {
         "a": w.a,
         "b": w.b,
         "z": list(w.z),
         "k": list(w.k),
-        "xs": [_tower_json(tv) for tv in w.xs],
-        "ys": [_tower_json(tv) for tv in w.ys],
+        "xs": [{"kind": "tower", "base": w.a, "expbase": w.b, "level": k} for k in w.k],
+        "ys": [{"kind": "plain", "value": w.b**z} for z in w.z],
         "verified": True,
     }
 
@@ -297,6 +290,12 @@ def _tower_text(doc: dict) -> str:
     return f"{doc['base']}^({doc['expbase']}^{doc['level']})"
 
 
+def _witness_line(w: dict) -> str:
+    """The witness doc's one-line summary, as decide and witness print it."""
+    z_text, k_text = ",".join(map(str, w["z"])), ",".join(map(str, w["k"]))
+    return f"a={w['a']} b={w['b']} z=({z_text}) k=({k_text}) verified={w['verified']}"
+
+
 def _render_decision(report: dict) -> str:
     lines = [f"verdict: {report['verdict']}"]
     lin = report["linear_system"]
@@ -304,9 +303,7 @@ def _render_decision(report: dict) -> str:
     for i, row in enumerate(lin["rows"], start=1):
         lines.append(f"  row {i}: " + " ".join(str(v) for v in row))
     cert = report["certificate"]
-    if cert is None:
-        lines.append("certificate: none")
-    elif cert["type"] == "columns-partition":
+    if cert["type"] == "columns-partition":
         blocks = " ".join(
             "S{}={{{}}}".format(i, ",".join(str(j) for j in block))
             for i, block in enumerate(cert["blocks"])
@@ -327,15 +324,7 @@ def _render_decision(report: dict) -> str:
             )
     w = report["witness"]
     if w is not None:
-        lines.append(
-            "witness: a={} b={} z=({}) k=({}) verified={}".format(
-                w["a"],
-                w["b"],
-                ",".join(str(v) for v in w["z"]),
-                ",".join(str(v) for v in w["k"]),
-                w["verified"],
-            )
-        )
+        lines.append("witness: " + _witness_line(w))
         lines.append("  x = " + ", ".join(_tower_text(t) for t in w["xs"]))
         lines.append("  y = " + ", ".join(_tower_text(t) for t in w["ys"]))
     for warning in report["warnings"]:
@@ -414,10 +403,8 @@ def _cmd_witness(args) -> int:
         if part is None:
             raise CommandError("the system is not partition regular; give a solution with --z")
         z = find_positive_solution(lin.matrix, part)
-    w = lift(lin, z, args.a, args.b)
-    z_text, k_text = ",".join(map(str, w.z)), ",".join(map(str, w.k))
-    text = f"a={w.a} b={w.b} z=({z_text}) k=({k_text}) verified=True\n"
-    return _emit(args, _witness_json(w), text)
+    doc = _witness_json(lift(lin, z, args.a, args.b))
+    return _emit(args, doc, _witness_line(doc) + "\n")
 
 
 def _cmd_search(args) -> int:

@@ -14,14 +14,7 @@ from .dsl import print_colouring
 from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
 from .rado import is_partition_regular, mod_proof, proof_primes
-from .search import (
-    DEFAULT_CEILING,
-    Mod,
-    RadoPNu,
-    colour_of_tower,
-    search_exp,
-    search_witnesses,
-)
+from .search import DEFAULT_CEILING, Mod, RadoPNu, search_exp, search_witnesses, witness_colours
 
 DEFAULT_SEED = 271828
 # shape of a random system: vertex count, edge count, coefficient range
@@ -55,12 +48,13 @@ def system_corpus(count: int, seed: int = DEFAULT_SEED) -> list[ExpSystem]:
     return [random_system(rng) for _ in range(count)]
 
 
-def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12) -> dict:
+def run_experiment(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
     """Decide the first `count` corpus systems and cross-check both certificates.
 
     A PR system is asked for a lifted witness that is monochromatic under
-    each PANEL colouring: none within the bounds is inconclusive, never a
-    refutation, and one that is not monochromatic is a hard failure.  A
+    each PANEL colouring (`search_witnesses`): none within its bounds is
+    inconclusive, never a refutation, and one on whose values
+    `witness_colours` finds more than one colour is a hard failure.  A
     not-PR system takes the first prime with a mod-p proof, as `decide`
     does (some prime always has one), and its radop-nu colouring is then
     refuted by either check: a monochromatic lifted witness from
@@ -80,10 +74,10 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
         if regular:
             out["pr"] += 1
             for spec in PANEL:
-                w = search_witnesses(lin, spec, z_bound=z_bound)
+                w = search_witnesses(lin, spec)
                 if w is None:
                     out["inconclusive"][spec] += 1
-                elif len({colour_of_tower(spec, tv) for tv in w.xs + w.ys}) != 1:
+                elif len(witness_colours(spec, w)) != 1:
                     out["hard_failures"] += 1
                     out["notes"].append(
                         f"system {index}: witness colour check failed"
@@ -93,7 +87,7 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED, z_bound: int = 12
         out["npr"] += 1
         spec = RadoPNu(mod_proof(lin.matrix, proof_primes(lin.matrix)).prime)
         recheck = PICK_BOUNDS[min(nvars, 8)] + (1 if nvars >= 5 else 2)
-        if search_witnesses(lin, spec, z_bound=z_bound) is not None:
+        if search_witnesses(lin, spec) is not None:
             out["hard_failures"] += 1
             out["notes"].append(
                 f"system {index}: a lifted witness is monochromatic under {print_colouring(spec)}"

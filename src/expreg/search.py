@@ -1,7 +1,7 @@
 """Brute-force oracles: colouring evaluation and exhaustive searches.
 
-Colourings have one evaluator, `colour_of`, which colours a tower a^(b^k)
-in its exponents; a plain value is the tower at level 0.
+Colourings have one evaluator, `colour_of`, which colours a power a**n
+in its exponent, so a witness value a**(b**k) or b**z is never built.
 
 Everything here is exhaustive and honest.  Assignments whose intermediate
 values would blow past the ceiling are skipped and counted, never treated
@@ -35,16 +35,7 @@ from typing import Iterable, Iterator
 from .eqsys import ExpSystem
 from .graphs import LinearSystem, build_linear_system
 from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, lowest_digit
-from .witness import (
-    Plain,
-    Tower,
-    TowerValue,
-    Witness,
-    iter_positive_solutions,
-    lift,
-    prime_omega,
-    tower_to_int,
-)
+from .witness import Witness, iter_positive_solutions, lift, prime_omega
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +106,18 @@ class Table:
 ColouringSpec = Constant | Mod | RadoP | RadoPNu | OmegaOf | Table
 
 
-def colour_of(spec: ColouringSpec, a: int, b: int = 1, k: int = 0) -> int:
-    """Colour of the tower a^(b^k); a plain value x is a = x, k = 0.
+def colour_of(spec: ColouringSpec, a: int, n: int = 1) -> int:
+    """Colour of the power a**n, n >= 1; a plain value x is a = x, n = 1.
 
-    The colour is read in the exponents, so the tower is never built:
-    residues go through pow, the base-p digit of a^n is the digit of a to
-    the n-th power, and the factor count is n * prime_omega(a).  Raises
-    ValueError where the colouring is undefined: below 1, and at 1 under
-    a factor count (prime_omega's own error).
+    The colour is read in the exponent, so the power is never built:
+    residues go through pow, the base-p digit of a**n is the digit of a to
+    the n-th power, the factor count is n * prime_omega(a), and a table
+    reads a**n only while it stays within the table.  Raises ValueError
+    where the colouring is undefined: below 1, and at 1 under a factor
+    count (prime_omega's own error).
     """
     if a < 1:
         raise ValueError("colourings are defined on positive integers")
-    n = b**k
     if isinstance(spec, Constant):
         return spec.colour
     if isinstance(spec, Mod):
@@ -138,16 +129,14 @@ def colour_of(spec: ColouringSpec, a: int, b: int = 1, k: int = 0) -> int:
     if isinstance(spec, OmegaOf):
         return colour_of(spec.base, n * prime_omega(a))
     if isinstance(spec, Table):
-        value = tower_to_int(Tower(a, b, k), len(spec.colours))
+        value = _bounded_pow(a, n, len(spec.colours))
         return spec.default if value is None else spec.colours[value - 1]
     raise TypeError(f"not a colouring spec: {spec!r}")
 
 
-def colour_of_tower(spec: ColouringSpec, tv: TowerValue) -> int:
-    """colour_of on a witness value; a Plain value is level 0."""
-    if isinstance(tv, Plain):
-        return colour_of(spec, tv.value)
-    return colour_of(spec, tv.base, tv.expbase, tv.level)
+def witness_colours(spec: ColouringSpec, w: Witness) -> set[int]:
+    """The colours of a witness's values a**(b**k_i) and b**z_i."""
+    return {colour_of(spec, w.a, w.b**k) for k in w.k} | {colour_of(spec, w.b, z) for z in w.z}
 
 
 # ---------------------------------------------------------------------------
@@ -873,21 +862,23 @@ def vdw_number(colours: int, length: int, max_n: int) -> int | None:
 
 WITNESS_BASES = ((2, 2), (3, 3), (2, 3), (3, 2), (5, 5))
 MAX_WITNESS_SOLUTIONS = 200
+WITNESS_Z_BOUND = 12
 
 
-def search_witnesses(lin: LinearSystem, spec: ColouringSpec, z_bound: int = 12) -> Witness | None:
+def search_witnesses(lin: LinearSystem, spec: ColouringSpec) -> Witness | None:
     """First lifted witness that is monochromatic under the given colouring.
 
-    Scans the first MAX_WITNESS_SOLUTIONS solutions of the linear side in
-    lexicographic order and the WITNESS_BASES pairs in order; colours of the
-    tower values are evaluated in the exponents.  Returns None when nothing
-    within the bounds is monochromatic (which never refutes anything:
-    existence is guaranteed, location is not).  A tower value where the
-    colouring is undefined is a ValueError, not a skip.
+    Scans the first MAX_WITNESS_SOLUTIONS solutions in [1, WITNESS_Z_BOUND]
+    of the linear side in lexicographic order and the WITNESS_BASES pairs in
+    order; each value's colour is read in its exponent (`witness_colours`).
+    Returns None when nothing within the bounds is monochromatic (which
+    never refutes anything: existence is guaranteed, location is not).  A
+    value where the colouring is undefined is a ValueError, not a skip.
     """
-    for z in itertools.islice(iter_positive_solutions(lin.matrix, z_bound), MAX_WITNESS_SOLUTIONS):
+    solutions = iter_positive_solutions(lin.matrix, WITNESS_Z_BOUND)
+    for z in itertools.islice(solutions, MAX_WITNESS_SOLUTIONS):
         for a, b in WITNESS_BASES:
             w = lift(lin, z, a, b)
-            if len({colour_of_tower(spec, tv) for tv in w.xs + w.ys}) == 1:
+            if len(witness_colours(spec, w)) == 1:
                 return w
     return None

@@ -1,14 +1,15 @@
 """Certificates for both decision directions.
 
 When the linear side has the columns property, its partition gives a
-positive solution z, lifted to a tower witness x_i = a^(b^k_i), y_i = b^(z_i)
-through the cycle rows, forest walk and components of the system's one
-analysis (`graphs.LinearSystem`); when it has not, a forbidding colouring
+positive solution z, lifted to the witness (a, b, z, k) through the cycle
+rows, forest walk and components of the system's one analysis
+(`graphs.LinearSystem`).  Every value a witness names is a power
+base**exponent that is never built: x_i = a**(b**k_i) and y_i = b**z_i.
+When the linear side has not the columns property, a forbidding colouring
 composes a colouring of the linear side with the prime-factor count
-computed here.  Tower equality is always decided in the exponents, never
-by materializing the towers.  `verify_witness` takes the raw system and
-does its own arithmetic, so a lift's self-check does not reuse the
-construction it checks.
+computed here.  Equality of x-values is always decided in the exponents.
+`verify_witness` takes the raw system and does its own arithmetic, so a
+lift's self-check does not reuse the construction it checks.
 """
 
 from __future__ import annotations
@@ -87,43 +88,6 @@ def _omega_large(n: int) -> int:
         return 2 * _omega_large(root)
     d = _pollard_rho(n)
     return _omega_large(d) + _omega_large(n // d)
-
-
-# ---------------------------------------------------------------------------
-# tower values
-
-
-@dataclass(frozen=True)
-class Plain:
-    """An explicitly materialized integer value."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class Tower:
-    """base^(expbase^level); level 0 denotes base itself."""
-
-    base: int
-    expbase: int
-    level: int
-
-
-TowerValue = Plain | Tower
-
-
-def tower_to_int(tv: TowerValue, ceiling: int) -> int | None:
-    """Materialize when the value provably fits under ceiling, else None."""
-    if isinstance(tv, Plain):
-        return tv.value if tv.value <= ceiling else None
-    exp_bits = tv.level * math.log2(tv.expbase) if tv.level else 0
-    if exp_bits > 64:
-        return None
-    exponent = tv.expbase**tv.level
-    if exponent * math.log2(tv.base) > ceiling.bit_length() + 1:
-        return None
-    value = tv.base**exponent
-    return value if value <= ceiling else None
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +215,7 @@ def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def compute_k(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
-    """Tower levels: path sums shifted so each weak component has minimum 0.
+    """Levels k: path sums shifted so each weak component has minimum 0.
 
     Raw path sums can be negative when coefficients are; only differences
     k_head - k_tail are constrained, so a per-component shift is free and
@@ -268,23 +232,21 @@ def compute_k(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Witness:
-    """A solved instance: y_i = b^(z_i), x_i = a^(b^(k_i))."""
+    """A solved instance: x_i = a**(b**k_i) and y_i = b**z_i, none of them built."""
 
     a: int
     b: int
     z: tuple[int, ...]
     k: tuple[int, ...]
-    xs: tuple[TowerValue, ...]
-    ys: tuple[TowerValue, ...]
 
 
 def lift(lin: LinearSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witness:
-    """Build the tower witness for a solution z of the linear side of lin.system.
+    """Build the witness (a, b, z, k) for a solution z of the linear side of lin.system.
 
-    The y-values are materialized, each of at most MAX_Y_DIGITS decimal
-    digits (else WitnessTooLarge, before any power is taken); the x-values
-    stay symbolic towers.  Raises SelfCheckFailed if the levels miss an
-    edge identity, which would be a defect of the construction.
+    Each y = b**z_i must have at most MAX_Y_DIGITS decimal digits, for the
+    report that writes it out (else WitnessTooLarge, before any power is
+    taken).  Raises SelfCheckFailed if the levels miss an edge identity,
+    which would be a defect of the construction.
     """
     if a < 2 or b < 2:
         raise ValueError("witness bases must be at least 2")
@@ -293,9 +255,7 @@ def lift(lin: LinearSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witne
     k = compute_k(lin, z)
     if max(z) >= MAX_Y_DIGITS / math.log10(b):
         raise WitnessTooLarge(f"y = {b}^{max(z)} has more than {MAX_Y_DIGITS} decimal digits")
-    xs = tuple(Tower(a, b, kv) for kv in k)
-    ys = tuple(Plain(b**zv) for zv in z)
-    w = Witness(a, b, tuple(z), k, xs, ys)
+    w = Witness(a, b, tuple(z), k)
     # well-definedness self-check: the levels satisfy every edge, not just
     # the forest edges the construction walked
     if not verify_witness(lin.system, w):
@@ -306,8 +266,8 @@ def lift(lin: LinearSystem, z: tuple[int, ...], a: int = 2, b: int = 2) -> Witne
 def verify_witness(sys: ExpSystem, w: Witness) -> bool:
     """Check every edge identity k_head - k_tail = coeffs . z, in exact integers.
 
-    Equality of a^(b^u) with a^(b^v) for a, b >= 2 is equality of u and v,
-    so no tower is ever materialized.  Like path_sums, each dot product
+    Equality of a**(b**u) with a**(b**v) for a, b >= 2 is equality of u
+    and v, so no x-value is ever built.  Like path_sums, each dot product
     runs over the nonzero coefficients only, but it indexes them itself.
     """
     if len(w.z) != sys.num_y or len(w.k) != sys.num_vertices:

@@ -51,7 +51,6 @@ from expreg.search import (
     _edge_status,
     eval_exp,
 )
-from expreg.witness import Plain, Tower, TowerValue
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -854,9 +853,10 @@ def weight(sys: ExpSystem, z: tuple[int, ...]) -> int:
     return mass * sum(z)
 
 
-def expand_pattern(xs: tuple[int, ...], budget: int, a: int, b: int) -> list[TowerValue]:
-    """The tuple a, b^(x_1), ..., b^(x_n), a^(b^1), ..., a^(b^budget)."""
-    values: list[TowerValue] = [Plain(a)]
-    values.extend(Plain(b**x) for x in xs)
-    values.extend(Tower(a, b, level) for level in range(1, budget + 1))
+def expand_pattern(xs: tuple[int, ...], budget: int, a: int, b: int) -> list[tuple[int, int]]:
+    """The tuple a, b^(x_1), ..., b^(x_n), a^(b^1), ..., a^(b^budget), each
+    value as its (base, exponent) pair."""
+    values = [(a, 1)]
+    values.extend((b, x) for x in xs)
+    values.extend((a, b**level) for level in range(1, budget + 1))
     return values

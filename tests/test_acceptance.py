@@ -35,7 +35,6 @@ from expreg.witness import (
     iter_positive_solutions,
     lift,
     prime_omega,
-    tower_to_int,
     verify_witness,
 )
 
@@ -71,9 +70,9 @@ def test_criterion_01_pr_example():
     # direct bounded evaluation of the materialized witness
     sys, _ = normalize(parse_system((FIXTURES / "exp-pr.xps").read_text()))
     lifted = lift(build_linear_system(sys), (1, 1, 1, 1), 2, 2)
-    xs = [tower_to_int(t, 10**6) for t in lifted.xs]
-    ys = [tower_to_int(t, 10**6) for t in lifted.ys]
-    ok = ok and None not in xs and None not in ys
+    xs = [lifted.a ** (lifted.b**k) for k in lifted.k]
+    ys = [lifted.b**z for z in lifted.z]
+    ok = ok and max(xs + ys) <= 10**6
     ok = ok and all(s == PASS for s in eval_exp(sys, xs, ys, 10**6))
     _check("01 pr-example", ok, 1.0, time.time() - start)
 
@@ -269,11 +268,20 @@ def test_criterion_09_factor_count_properties():
 WITNESS_CAP = 10**12
 
 
+def _under_cap(base: int, exponent: int) -> int | None:
+    """base**exponent for base >= 2 when it is at most WITNESS_CAP, else None."""
+    if exponent > WITNESS_CAP.bit_length():
+        return None
+    value = base**exponent
+    return value if value <= WITNESS_CAP else None
+
+
 def _recoloured_pr_witnesses(count: int):
     """Per PR system of the first `count` corpus systems and PANEL colouring
     with a witness: the colours reference_colour gives the witness values
     that materialize under WITNESS_CAP.  The witnesses were picked with the
-    package's tower colouring, so this check does not share its code."""
+    package's colouring in the exponents, so this check does not share its
+    code."""
     for raw in system_corpus(count):
         sys_, _ = normalize(raw)
         lin = build_linear_system(sys_)
@@ -282,7 +290,8 @@ def _recoloured_pr_witnesses(count: int):
         for spec in PANEL:
             w = search_witnesses(lin, spec)
             if w is not None:
-                values = (tower_to_int(tv, WITNESS_CAP) for tv in w.xs + w.ys)
+                powers = [(w.a, w.b**k) for k in w.k] + [(w.b, z) for z in w.z]
+                values = (_under_cap(base, exponent) for base, exponent in powers)
                 yield [reference_colour(spec, v) for v in values if v is not None]
 
 

@@ -42,6 +42,14 @@ class TestDecide:
         assert code == 1
         assert out == (GOLDEN / "exp-npr.decide.json").read_text()
 
+    # witnesses from several levels: pr-levels has y-values up to 2^6 and
+    # tall-pr the levels k = (0, 1, 0, 0) with z = (1, 1, 2, 2)
+    @pytest.mark.parametrize("name", ["pr-levels", "tall-pr"])
+    def test_multi_level_witness_golden_bytes(self, run_cli, fixture_path, name):
+        code, out, _ = run_cli("decide", fixture_path(f"{name}.xps"), "--witness", "--json")
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.decide.json").read_text()
+
     def test_reports_validate_against_schema(self, run_cli, fixture_path):
         schema = _schema()
         for name in ("exp-pr.xps", "exp-npr.xps"):
@@ -165,6 +173,16 @@ class TestDecide:
         with pytest.raises(SystemExit) as exc:
             run_cli("decide")
         assert exc.value.code == 2
+
+    def test_witness_bases_from_the_command_line(self, run_cli, fixture_path):
+        argv = ["decide", fixture_path("exp-pr.xps"), "--witness", "--a", "3", "--b", "5"]
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert out.endswith(
+            "witness: a=3 b=5 z=(1,1,1,1) k=(0,0,2,0) verified=True\n"
+            "  x = 3^(5^0), 3^(5^0), 3^(5^2), 3^(5^0)\n"
+            "  y = 5, 5, 5, 5\n"
+        )
 
     @pytest.mark.parametrize("option", ["--a", "--b"])
     def test_witness_base_below_two_exits_2(self, fixture_path, capsys, option):
@@ -630,10 +648,6 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _dump_json(doc)
 
-    def test_rejects_a_non_tower_value(self):
-        with pytest.raises(TypeError):
-            expreg.cli._tower_json(4)
-
     def test_deep_acyclic_system_report(self, run_cli, tmp_path):
         # the shape of the pr-deep benchmark systems at their largest: a
         # random forest on 200 vertices, 1-3 nonzero coefficients per edge
@@ -680,7 +694,9 @@ class TestJsonWriter:
         assert code == 0
         assert out == reference_dump_json(json.loads(out))
 
-    @pytest.mark.parametrize("name,code", [("exp-pr", 0), ("exp-npr", 1)])
+    @pytest.mark.parametrize(
+        "name,code", [("exp-pr", 0), ("exp-npr", 1), ("pr-levels", 0), ("tall-pr", 0)]
+    )
     def test_golden_bytes_under_optimize_flag(self, name, code):
         argv = ["decide", str(FIXTURES / f"{name}.xps"), "--witness", "--json"]
         proc = subprocess.run(

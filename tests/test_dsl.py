@@ -171,6 +171,10 @@ class TestMatrix:
         with pytest.raises(ParseError):
             parse_matrix("# nothing\n")
 
+    def test_non_integer_token_rejected(self):
+        with pytest.raises(ParseError, match=r"line 2, column 3: expected integer, found 'y'"):
+            parse_matrix("1 2\n3 y\n")
+
 
 class TestColouringSpecs:
     def test_simple_kinds(self):
@@ -190,6 +194,18 @@ class TestColouringSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_colouring("palette:3")
+
+    def test_missing_colon(self):
+        with pytest.raises(ParseError, match="expected 'kind:argument', found 'mod5'"):
+            parse_colouring("mod5")
+
+    def test_missing_table_file(self, tmp_path):
+        with pytest.raises(ParseError, match="column 7: cannot read table file"):
+            parse_colouring(f"table:{tmp_path / 'absent.txt'}")
+
+    def test_non_integer_argument(self):
+        with pytest.raises(ParseError, match="column 5: expected integer argument, found 'x'"):
+            parse_colouring("mod:x")
 
     def test_table_file(self, tmp_path):
         path = tmp_path / "colours.txt"

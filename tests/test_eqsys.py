@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from expreg.eqsys import Edge, ExpSystem, normalize, validate
@@ -24,6 +25,19 @@ def test_validate_out_of_range_head():
 def test_validate_coeff_length():
     s = ExpSystem.square(2, [(1, 2, [1])])
     assert any("length 1, expected 2" in p for p in validate(s))
+
+
+def test_validate_empty_counts_and_tail():
+    assert validate(ExpSystem(0, 1, ())) == ["vertex count must be >= 1, got 0"]
+    assert validate(ExpSystem(1, 0, ())) == ["Y-variable count must be >= 1, got 0"]
+    s = ExpSystem.square(2, [(3, 1, [1, 0])])
+    assert validate(s) == ["edge 1: tail 3 out of range 1..2"]
+
+
+def test_normalize_rejects_invalid_system():
+    s = ExpSystem.square(2, [(3, 1, [1, 0])])
+    with pytest.raises(ValueError, match=r"^invalid system: edge 1: tail 3 out of range 1\.\.2$"):
+        normalize(s)
 
 
 def test_normalize_merges_identity_edge():

@@ -10,6 +10,7 @@ import expreg.witness
 from expreg.rado import (
     ColumnBudgetExceeded,
     ColumnsPartition,
+    DimensionMismatch,
     IntMatrix,
     ModProof,
     NotPrime,
@@ -48,6 +49,20 @@ def _tall_rows(rng) -> list[list[int]]:
         [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)]
         for coeffs in ([rng.randint(-2, 2) for _ in base] for _ in range(rng.randint(5, 8)))
     ]
+
+
+class TestIntMatrix:
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            IntMatrix(1, 0, ((),))
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ValueError, match="row count does not match entries"):
+            IntMatrix(2, 2, ((1, 2),))
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch, match="ragged matrix rows"):
+            IntMatrix(2, 2, ((1, 2), (3,)))
 
 
 class TestInSpan:

@@ -28,14 +28,14 @@ from expreg.search import (
     Table,
     Uncoloured,
     colour_of,
-    colour_of_tower,
     eval_exp,
     rado_number,
     search_exp,
     search_witnesses,
     vdw_number,
+    witness_colours,
 )
-from expreg.witness import Plain, Tower
+from expreg.witness import lift
 
 import helpers
 from helpers import (
@@ -70,6 +70,14 @@ class TestColourOf:
         assert colour_of(t, 2) == 6
         assert colour_of(t, 4) == 9
 
+    def test_table_reads_a_huge_power_of_one(self):
+        # 1**n = 1 however large n is, so no size limit on n may apply
+        assert colour_of(Table((7, 8, 9), default=5), 1, 2**65) == 7
+
+    def test_radop_nu_needs_a_prime(self):
+        with pytest.raises(NotPrime, match="4 is not prime"):
+            RadoPNu(4)
+
     def test_negative_colours_rejected(self):
         with pytest.raises(ValueError):
             Constant(-1)
@@ -99,39 +107,37 @@ EVERY_KIND = (
 )
 
 
-def _materialize(tv) -> int:
-    return tv.value if isinstance(tv, Plain) else tv.base ** (tv.expbase**tv.level)
-
-
-def assert_matches_reference(spec, tv):
-    """colour_of_tower agrees with the definition on the materialized value,
-    raising ValueError exactly where the definition does."""
+def assert_matches_reference(spec, a, n=None):
+    """colour_of(spec, a, n) agrees with the definition on the built value
+    a**n, raising ValueError exactly where the definition does; without n,
+    colour_of's default exponent is checked against a itself."""
+    args = (a,) if n is None else (a, n)
     try:
-        expected = reference_colour(spec, _materialize(tv))
+        expected = reference_colour(spec, a ** (n or 1))
     except ValueError:
         with pytest.raises(ValueError):
-            colour_of_tower(spec, tv)
+            colour_of(spec, *args)
     else:
-        assert colour_of_tower(spec, tv) == expected, (tv, spec)
+        assert colour_of(spec, *args) == expected, (a, n, spec)
 
 
 class TestColourOfTower:
     def test_matches_materialized(self):
-        # Tower(2^d, 2, x) is 2^(d * 2^x), whose colour only the factor count
+        # (2^d)**(2^x) is 2^(d * 2^x), whose colour only the factor count
         # d * 2^x or modular exponentiation can reach once x grows
-        doubly = [Tower(2**d, 2, x) for d in (1, 2, 3) for x in (0, 1, 2, 3, 4)]
-        level0 = [Tower(a, 3, 0) for a in (1, 2, 3, 4, 6, 9, 12, 13)]
-        plain = [Plain(v) for v in (1, 2, 3, 4, 5, 8, 27, 729)]
-        towers = [Tower(2, 3, 2), Tower(3, 2, 3), Tower(5, 2, 1), Tower(12, 3, 2), Tower(1, 2, 3)]
-        for tv in towers + doubly + level0 + plain:
+        doubly = [(2**d, 2**x) for d in (1, 2, 3) for x in (0, 1, 2, 3, 4)]
+        level0 = [(a, 1) for a in (1, 2, 3, 4, 6, 9, 12, 13)]
+        plain = [(v, 1) for v in (1, 2, 3, 4, 5, 8, 27, 729)]
+        towers = [(2, 3**2), (3, 2**3), (5, 2), (12, 3**2), (1, 2**3)]
+        for a, n in towers + doubly + level0 + plain:
             for spec in EVERY_KIND:
-                assert_matches_reference(spec, tv)
+                assert_matches_reference(spec, a, n)
 
     def test_plain_values_are_level_zero(self):
         for spec in EVERY_KIND:
             for x in range(1, 200):
-                assert_matches_reference(spec, Plain(x))
-                assert_matches_reference(spec, Tower(x, 2, 0))
+                assert_matches_reference(spec, x)
+                assert_matches_reference(spec, x, 1)
 
     def test_every_undefined_value_raises(self):
         for spec in EVERY_KIND:
@@ -144,38 +150,38 @@ class TestColourOfTower:
             with pytest.raises(ValueError):
                 colour_of(spec, 1)
             with pytest.raises(ValueError):
-                colour_of_tower(spec, Tower(1, 2, 5))
+                colour_of(spec, 1, 2**5)
         # the inner factor count of a prime is 1
         for prime in (2, 3, 5, 7, 11, 397):
             with pytest.raises(ValueError):
                 colour_of(OmegaOf(OmegaOf(Mod(2))), prime)
             with pytest.raises(ValueError):
-                colour_of_tower(OmegaOf(OmegaOf(Mod(2))), Tower(prime, 2, 0))
+                colour_of(OmegaOf(OmegaOf(Mod(2))), prime, 1)
 
     def test_pure_prime_power_base(self):
-        # 9^(2^10) has only the digit 1 in base 3
-        assert colour_of_tower(RadoP(3), Tower(9, 2, 10)) == 1
+        # 9**(2**10) has only the digit 1 in base 3
+        assert colour_of(RadoP(3), 9, 2**10) == 1
 
 
 class TestDRestrict:
-    # the colour of the doubly exponential tower Tower(2^d, 2, x) = 2^(d * 2^x)
+    # the colour of the doubly exponential power (2^d)**(2^x) = 2^(d * 2^x)
 
     def test_radop_nu(self):
-        assert colour_of_tower(RadoPNu(3), Tower(2, 2, 1)) == 2
-        assert colour_of_tower(RadoPNu(3), Tower(2**3, 2, 2)) == 1
+        assert colour_of(RadoPNu(3), 2, 2**1) == 2
+        assert colour_of(RadoPNu(3), 2**3, 2**2) == 1
 
     def test_mod2_always_zero(self):
         for d in (1, 2, 7):
             for x in (1, 5, 40):
-                assert colour_of_tower(Mod(2), Tower(2**d, 2, x)) == 0
+                assert colour_of(Mod(2), 2**d, 2**x) == 0
 
     def test_table_in_range(self):
-        assert colour_of_tower(Table((9, 8, 7, 6)), Tower(2, 2, 1)) == 6  # value 4
+        assert colour_of(Table((9, 8, 7, 6)), 2, 2**1) == 6  # value 4
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(EVERY_KIND), st.integers(1, 3), st.integers(0, 4))
     def test_matches_direct_evaluation(self, spec, d, x):
-        assert_matches_reference(spec, Tower(2**d, 2, x))
+        assert_matches_reference(spec, 2**d, 2**x)
 
 
 class TestEvalExp:
@@ -205,6 +211,11 @@ class TestEvalExp:
         s = ExpSystem.square(1, [])
         with pytest.raises(ValueError):
             eval_exp(s, (1,), (2,), 100)
+
+    def test_rejects_a_length_mismatch(self):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        with pytest.raises(ValueError, match="assignment length mismatch"):
+            eval_exp(s, (2, 4), (2,), 100)
 
 
 class TestSearchExp:
@@ -629,6 +640,10 @@ class TestRadoNumber:
     def test_non_regular_exceeds(self):
         assert rado_number(IntMatrix.from_rows([[2, -1]]), 2, 50) is None
 
+    def test_needs_a_colour(self):
+        with pytest.raises(ValueError, match="at least one colour required"):
+            rado_number(IntMatrix.from_rows([[1, 1, -1]]), 0, 5)
+
     def test_agrees_with_constant_search(self):
         m = IntMatrix.from_rows([[1, 1, -1]])
         for bound in (1, 2, 3, 5):
@@ -656,6 +671,14 @@ class TestProgressions:
     def test_vdw_one_colour(self):
         assert vdw_number(1, 4, 10) == 4
 
+    def test_vdw_length_one(self):
+        assert vdw_number(2, 1, 10) == 1
+
+    @pytest.mark.parametrize("colours,length", [(0, 3), (2, 0)])
+    def test_vdw_needs_colours_and_length(self, colours, length):
+        with pytest.raises(ValueError, match="colours and length must be positive"):
+            vdw_number(colours, length, 10)
+
 
 def test_search_witnesses_finds_monochromatic():
     lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
@@ -664,6 +687,20 @@ def test_search_witnesses_finds_monochromatic():
     assert w.a == w.b == 2
     w3 = search_witnesses(lin, Mod(3))
     assert w3 is not None
+
+
+def test_witness_colours_reads_every_value():
+    # x = (2^(3^0), 2^(3^3)) = (2, 2^27) and y = (3, 9)
+    w = lift(build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])])), (1, 2), 2, 3)
+    values = [2, 2**27, 3, 9]
+    for spec in EVERY_KIND:
+        try:
+            expected = {reference_colour(spec, v) for v in values}
+        except ValueError:
+            with pytest.raises(ValueError):
+                witness_colours(spec, w)
+        else:
+            assert witness_colours(spec, w) == expected, spec
 
 
 def test_search_witnesses_raises_on_uncoloured_towers():

@@ -17,9 +17,7 @@ from expreg.search import PASS, RadoP, RadoPNu, colour_of, eval_exp
 from expreg.witness import (
     MAX_Y_DIGITS,
     NotASolution,
-    Plain,
     SelfCheckFailed,
-    Tower,
     Witness,
     WitnessTooLarge,
     compute_k,
@@ -28,7 +26,6 @@ from expreg.witness import (
     lift,
     path_sums,
     prime_omega,
-    tower_to_int,
     verify_witness,
 )
 
@@ -254,9 +251,9 @@ class TestLift:
     def test_spec_instance(self):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
         w = lift(build_linear_system(s), (1, 2), a=2, b=3)
-        assert w.ys == (Plain(3), Plain(9))
-        assert w.k == (0, 3)
-        assert w.xs == (Tower(2, 3, 0), Tower(2, 3, 3))
+        # y = (3^1, 3^2) = (3, 9) and x = (2^(3^0), 2^(3^3))
+        assert w == Witness(2, 3, (1, 2), (0, 3))
+        assert [f.name for f in dataclasses.fields(Witness)] == ["a", "b", "z", "k"]
         # 2^(3*9) == 2^27, checked directly in the integers
         assert 2 ** (3 * 9) == 2**27
         assert verify_witness(s, w)
@@ -271,11 +268,21 @@ class TestLift:
         with pytest.raises(NotASolution):
             lift(build_linear_system(s), (2,))
 
+    def test_rejects_base_one(self):
+        lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
+        with pytest.raises(ValueError, match="witness bases must be at least 2"):
+            lift(lin, (1, 2), a=1)
+
+    def test_rejects_a_zero_in_z(self):
+        lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
+        with pytest.raises(NotASolution, match="z must be a positive vector"):
+            lift(lin, (0, 2))
+
     def test_y_digit_limit(self):
         # 10^4299 has 4300 digits, 10^4300 one more
         s = ExpSystem.square(1, [(1, 1, [0])])
         w = lift(build_linear_system(s), (MAX_Y_DIGITS - 1,), b=10)
-        assert len(str(w.ys[0].value)) == MAX_Y_DIGITS
+        assert len(str(w.b ** w.z[0])) == MAX_Y_DIGITS
         with pytest.raises(WitnessTooLarge):
             lift(build_linear_system(s), (MAX_Y_DIGITS,), b=10)
 
@@ -309,12 +316,12 @@ class TestLift:
 class TestVerifyWitness:
     def test_bad_levels(self):
         s = ExpSystem.square(2, [(1, 2, [1, 1])])
-        w = Witness(2, 2, (1, 2), (0, 2), (Tower(2, 2, 0), Tower(2, 2, 2)), (Plain(2), Plain(4)))
+        w = Witness(2, 2, (1, 2), (0, 2))
         assert not verify_witness(s, w)  # 0 + 3 != 2
 
     def test_empty_system(self):
         s = ExpSystem.square(1, [])
-        w = Witness(2, 2, (1,), (0,), (Tower(2, 2, 0),), (Plain(2),))
+        w = Witness(2, 2, (1,), (0,))
         assert verify_witness(s, w)
 
 
@@ -331,17 +338,17 @@ class TestForbiddingColouring:
 class TestExpandPattern:
     def test_order_and_count(self):
         values = expand_pattern((1, 2), 2, 2, 3)
-        assert values == [Plain(2), Plain(3), Plain(9), Tower(2, 3, 1), Tower(2, 3, 2)]
+        assert values == [(2, 1), (3, 1), (3, 2), (2, 3), (2, 9)]
         assert len(values) == 2 + 2 + 1
 
     def test_sisto_triple(self):
         a, b = 5, 6
         values = expand_pattern((1,), 1, a, b)
-        assert values == [Plain(a), Plain(b), Tower(a, b, 1)]
-        assert tower_to_int(values[2], 10**30) == a**b
+        assert values == [(a, 1), (b, 1), (a, b)]
+        assert pow(*values[2]) == a**b
 
     def test_degenerate(self):
-        assert expand_pattern((), 0, 2, 2) == [Plain(2)]
+        assert expand_pattern((), 0, 2, 2) == [(2, 1)]
 
 
 class TestNuSquaredReduce:
@@ -429,22 +436,18 @@ def test_forbidding_soundness_desk_scale():
 def test_small_witness_evaluates():
     s, _ = normalize(ExpSystem.square(2, [(1, 2, [1, 1])]))
     w = lift(build_linear_system(s), (1, 1), 2, 2)
-    xs = [tower_to_int(t, 10**9) for t in w.xs]
-    ys = [tower_to_int(t, 10**9) for t in w.ys]
-    assert None not in xs and None not in ys
+    xs = [w.a ** (w.b**k) for k in w.k]
+    ys = [w.b**z for z in w.z]
+    assert max(xs + ys) <= 10**9
     assert all(st == PASS for st in eval_exp(s, xs, ys, 10**9))
 
 
 def test_pattern_covers_lifted_witness():
     # with the doubled level budget, the expanded pattern for (z, a, b)
-    # contains every value a lifted witness uses
-
-    def canon(tv):
-        return Plain(tv.base) if isinstance(tv, Tower) and tv.level == 0 else tv
-
+    # contains every value a lifted witness uses, as (base, exponent) pairs
     for sys, z in _lift_corpus(count=40):
         a, b = 3, 2
         w = lift(build_linear_system(sys), z, a, b)
-        values = {canon(tv) for tv in expand_pattern(z, 2 * weight(sys, z), a, b)}
-        for tv in w.xs + w.ys:
-            assert canon(tv) in values
+        values = set(expand_pattern(z, 2 * weight(sys, z), a, b))
+        for power in [(a, b**k) for k in w.k] + [(b, zv) for zv in w.z]:
+            assert power in values

@@ -13,7 +13,9 @@ checkout goes first.  Times are CPU seconds of 3 passes per layer, the
 first reported as cold.  Printed: one JSON document with, per checkout,
 case and layer, the item count, the median cold seconds, the median warm
 milliseconds per item, every pass time and a digest of the outputs.  The
-first checkout is the baseline: if another run's digest differs, the
+digest reads each output's content in the form the report writes it
+(`contents`), so a change of representation alone does not change it.
+The first checkout is the baseline: if another run's digest differs, the
 script names each differing (case, layer) and exits 1.
 
 Usage, from the repository root:
@@ -142,6 +144,23 @@ def layers(cli, dsl, eqsys, graphs, rado, search, witness, workdir: Path) -> dic
     }
 
 
+def contents(cli) -> dict:
+    """Layer name -> the content of one of its outputs, as the report writes
+    it; the writer's and decide's outputs are their own content."""
+    def blocks(part):
+        return part and [list(block) for block in part.blocks]
+
+    return {
+        "parse": cli._system_json,
+        "normalize": lambda out: cli._system_json(*out),
+        "analysis": cli._linear_json,  # not its walk
+        "columns": blocks,
+        "proof": lambda proof: proof and [proof.prime, proof.level, blocks(proof)],
+        "cross-check": cli._search_report_json,
+        "witness": cli._witness_json,
+    }
+
+
 def _call(call, args):
     try:
         return call(*args)
@@ -162,6 +181,7 @@ def measure(checkout: Path, seed: int) -> dict:
     result: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         table = layers(cli, dsl, eqsys, graphs, rado, search, witness, Path(tmp))
+        form = contents(cli)
         for case, (items, names) in cases(workloads, rado, seed).items():
             outs: list[dict] = [{} for _ in items]
             for layer in names:
@@ -185,9 +205,9 @@ def measure(checkout: Path, seed: int) -> dict:
                 for (i, _), output in zip(jobs, outputs):
                     if layer in READ or isinstance(output, Raised):
                         outs[i][layer] = output
-                    if layer == "analysis" and not isinstance(output, Raised):
-                        output = output.matrix, output.cycles  # not its walk
-                    digest.update(repr((i, output)).encode())
+                    if layer in form and not isinstance(output, Raised):
+                        output = form[layer](output)
+                    digest.update(json.dumps([i, output], sort_keys=True).encode())
                 result.setdefault(case, {})[layer] = {
                     "items": len(jobs), "pass_s": times, "digest": digest.hexdigest()[:16]}
     return result

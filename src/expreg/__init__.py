@@ -8,7 +8,7 @@ proof).
 """
 
 from .eqsys import Edge, ExpSystem, normalize, validate
-from .graphs import build_linear_system, fundamental_cycles, weak_components
+from .graphs import build_linear_system
 from .rado import IntMatrix, columns_property, is_partition_regular, rado_colour
 from .witness import (
     Witness,
@@ -28,7 +28,6 @@ __all__ = [
     "build_linear_system",
     "columns_property",
     "find_positive_solution",
-    "fundamental_cycles",
     "is_partition_regular",
     "lift",
     "normalize",
@@ -36,5 +35,4 @@ __all__ = [
     "rado_colour",
     "validate",
     "verify_witness",
-    "weak_components",
 ]

@@ -51,7 +51,7 @@ def _linear_json(lin: LinearSystem) -> dict:
     return {
         "num_cols": lin.matrix.num_cols,
         "rows": [list(row) for row in lin.matrix.entries],
-        "cycles": [[[idx, sign] for idx, sign in cyc.steps] for cyc in lin.cycles],
+        "cycles": [[list(step) for step in cyc] for cyc in lin.cycles],
     }
 
 

@@ -14,7 +14,7 @@ from .dsl import print_colouring
 from .eqsys import Edge, ExpSystem, normalize
 from .graphs import build_linear_system
 from .rado import is_partition_regular, mod_proof, proof_primes
-from .search import DEFAULT_CEILING, Mod, RadoPNu, search_exp, search_witnesses, witness_colours
+from .search import DEFAULT_CEILING, Mod, RadoPNu, search_exp, search_witnesses
 
 DEFAULT_SEED = 271828
 # shape of a random system: vertex count, edge count, coefficient range
@@ -53,16 +53,16 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
 
     A PR system is asked for a lifted witness that is monochromatic under
     each PANEL colouring (`search_witnesses`): none within its bounds is
-    inconclusive, never a refutation, and one on whose values
-    `witness_colours` finds more than one colour is a hard failure.  A
-    not-PR system takes the first prime with a mod-p proof, as `decide`
-    does (some prime always has one), and its radop-nu colouring is then
-    refuted by either check: a monochromatic lifted witness from
-    `search_witnesses`, or a solution from the exhaustive search a little
-    past its PICK_BOUNDS bound; either is a hard failure.  Each system's
-    linear side is built once.  Returns the counts `pr`, `npr`,
-    `hard_failures` and `inconclusive` (PANEL spec -> count), and
-    `notes`, one line per hard failure.
+    inconclusive, never a refutation.  Hard failures come from the not-PR
+    side only; acceptance criterion 10 recolours the PR witnesses itself,
+    on their materialised values.  A not-PR system takes the first prime
+    with a mod-p proof, as `decide` does (some prime always has one), and
+    its radop-nu colouring is then refuted by either check: a
+    monochromatic lifted witness from `search_witnesses`, or a solution
+    from the exhaustive search a little past its PICK_BOUNDS bound; either
+    is a hard failure.  Each system's linear side is built once.  Returns
+    the counts `pr`, `npr`, `hard_failures` and `inconclusive` (PANEL spec
+    -> count), and `notes`, one line per hard failure.
     """
     out = {"pr": 0, "npr": 0, "hard_failures": 0, "notes": []}
     out["inconclusive"] = dict.fromkeys(PANEL, 0)
@@ -74,15 +74,8 @@ def run_experiment(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
         if regular:
             out["pr"] += 1
             for spec in PANEL:
-                w = search_witnesses(lin, spec)
-                if w is None:
+                if search_witnesses(lin, spec) is None:
                     out["inconclusive"][spec] += 1
-                elif len(witness_colours(spec, w)) != 1:
-                    out["hard_failures"] += 1
-                    out["notes"].append(
-                        f"system {index}: witness colour check failed"
-                        f" under {print_colouring(spec)}"
-                    )
             continue
         out["npr"] += 1
         spec = RadoPNu(mod_proof(lin.matrix, proof_primes(lin.matrix)).prime)

@@ -188,12 +188,12 @@ def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
 
     Checks first that z annihilates every cycle row, which is exactly what
     makes the sums independent of the chosen paths.  The sums themselves
-    come from the analysis's walk of the spanning forest, each vertex adding
-    its parent step's signed weight to its parent's sum: after the check,
-    the cost is O(V + F * num_y) for F forest edges, where one path per
-    vertex would cost O(V * (V + E)).  Each weight multiplies only the
-    step's nonzero coefficients; finding them is a scan in C, so the
-    Python-level work is per nonzero term.
+    come from the analysis's walk of the spanning forest: each entry
+    (vertex, parent, step) adds its step's signed weight to its parent's
+    sum.  After the check, the cost is O(V + F * num_y) for F forest edges,
+    where one path per vertex would cost O(V * (V + E)).  Each weight
+    multiplies only the step's nonzero coefficients; finding them is a scan
+    in C, so the Python-level work is per nonzero term.
     """
     sys = lin.system
     if len(z) != sys.num_y:
@@ -202,13 +202,11 @@ def path_sums(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
         if sum(map(operator.mul, row, z)) != 0:
             raise NotASolution(f"z violates cycle constraint {i + 1}: {row}")
     sums = [0] * (sys.num_vertices + 1)
-    for v, step in lin.walk:
+    for v, parent, step in lin.walk:
         if step is None:
             continue
         idx, sign = step
-        e = sys.edges[idx - 1]
-        parent = e.tail if sign > 0 else e.head
-        coeffs = e.coeffs
+        coeffs = sys.edges[idx - 1].coeffs
         weight = sum(map(operator.mul, compress(coeffs, coeffs), compress(z, coeffs)))
         sums[v] = sums[parent] + sign * weight
     return tuple(sums[1:])

@@ -50,9 +50,16 @@ class TestDecide:
         assert code == 0
         assert out == (GOLDEN / f"{name}.decide.json").read_text()
 
+    # a chord whose tree path has two steps, a loop in a second component,
+    # and a not-PR proof at level 2
+    def test_chord_loop_and_deep_proof_golden_bytes(self, run_cli, fixture_path):
+        code, out, _ = run_cli("decide", fixture_path("four-var-npr.xps"), "--witness", "--json")
+        assert code == 1
+        assert out == (GOLDEN / "four-var-npr.decide.json").read_text()
+
     def test_reports_validate_against_schema(self, run_cli, fixture_path):
         schema = _schema()
-        for name in ("exp-pr.xps", "exp-npr.xps"):
+        for name in ("exp-pr.xps", "exp-npr.xps", "four-var-npr.xps"):
             _, out, _ = run_cli("decide", fixture_path(name), "--witness", "--json")
             jsonschema.validate(json.loads(out), schema)
         _, out, _ = run_cli("decide", fixture_path("exp-npr.xps"), "--verify-bound", "9", "--json")
@@ -695,7 +702,8 @@ class TestJsonWriter:
         assert out == reference_dump_json(json.loads(out))
 
     @pytest.mark.parametrize(
-        "name,code", [("exp-pr", 0), ("exp-npr", 1), ("pr-levels", 0), ("tall-pr", 0)]
+        "name,code",
+        [("exp-pr", 0), ("exp-npr", 1), ("pr-levels", 0), ("tall-pr", 0), ("four-var-npr", 1)],
     )
     def test_golden_bytes_under_optimize_flag(self, name, code):
         argv = ["decide", str(FIXTURES / f"{name}.xps"), "--witness", "--json"]

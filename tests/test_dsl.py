@@ -15,7 +15,7 @@ from expreg.dsl import (
     print_matrix,
     print_system,
 )
-from expreg.eqsys import Edge
+from expreg.eqsys import Edge, normalize
 from expreg.rado import IntMatrix
 from expreg.search import Mod, OmegaOf, RadoP, RadoPNu, Table
 
@@ -133,6 +133,14 @@ class TestParseErrors:
 @given(systems_strategy(max_n=5, max_edges=6, coeff=9))
 def test_round_trip(s):
     assert parse_system(print_system(s)) == s
+
+
+def test_print_system_rejects_a_non_square_system():
+    # the identity merges X1 and X2, leaving one vertex and two Y-variables
+    s, _ = normalize(parse_system("system 2\neq X1 ^ 1 = X2\n"))
+    assert (s.num_vertices, s.num_y) == (1, 2)
+    with pytest.raises(ValueError, match="only square systems have a document form"):
+        print_system(s)
 
 
 def test_fixtures_are_canonical():

@@ -5,11 +5,9 @@ from expreg.graphs import (
     build_linear_system,
     component_map,
     forest_walk,
-    fundamental_cycles,
     parent_table,
     spanning_forest,
     tree_path,
-    weak_components,
 )
 
 from helpers import (
@@ -40,15 +38,15 @@ def _walk(s):
 class TestWeakComponents:
     def test_two_blocks(self):
         s = _sys(3, [(1, 2, _zero(3))])
-        assert weak_components(s) == [[1, 2], [3]]
+        assert component_map(_walk(s)) == {1: 1, 2: 1, 3: 3}
 
     def test_empty_graph(self):
         s = _sys(2, [])
-        assert weak_components(s) == [[1], [2]]
+        assert component_map(_walk(s)) == {1: 1, 2: 2}
 
     def test_direction_ignored(self):
         s = _sys(3, [(1, 2, _zero(3)), (3, 2, _zero(3))])
-        assert weak_components(s) == [[1, 2, 3]]
+        assert component_map(_walk(s)) == {1: 1, 2: 1, 3: 1}
 
 
 def test_components_match_breadth_first_search():
@@ -56,9 +54,8 @@ def test_components_match_breadth_first_search():
     for _ in range(150):
         s = _random_multigraph(rng, 8, 10)
         blocks = reference_weak_components(s)
-        assert weak_components(s) == blocks
         reps = {v: block[0] for block in blocks for v in block}
-        assert component_map(forest_walk(s, spanning_forest(s))) == reps
+        assert component_map(_walk(s)) == reps
         assert build_linear_system(s).reps == reps
 
 
@@ -78,30 +75,29 @@ class TestSpanningForest:
 class TestFundamentalCycles:
     def test_triangle(self):
         s = _sys(3, [(1, 2, _zero(3)), (2, 3, _zero(3)), (1, 3, _zero(3))])
-        cycles = fundamental_cycles(s, _walk(s))
-        assert len(cycles) == 1
-        assert cycles[0].steps == ((3, 1), (2, -1), (1, -1))
+        cycles = build_linear_system(s).cycles
+        assert cycles == (((3, 1), (2, -1), (1, -1)),)
 
     def test_parallel(self):
         s = _sys(2, [(1, 2, [1, 0]), (1, 2, [0, 1])])
-        (cycle,) = fundamental_cycles(s, _walk(s))
-        assert cycle.steps == ((2, 1), (1, -1))
+        (cycle,) = build_linear_system(s).cycles
+        assert cycle == ((2, 1), (1, -1))
 
     def test_loop(self):
         s = _sys(1, [(1, 1, [2])])
-        (cycle,) = fundamental_cycles(s, _walk(s))
-        assert cycle.steps == ((1, 1),)
+        (cycle,) = build_linear_system(s).cycles
+        assert cycle == ((1, 1),)
 
 
 class TestForestWalk:
     def test_roots_at_smallest_vertex(self):
         s = _sys(4, [(2, 1, _zero(4)), (3, 2, _zero(4))])
         walk = forest_walk(s, spanning_forest(s))
-        assert walk == [(1, None), (2, (1, -1)), (3, (2, -1)), (4, None)]
+        assert walk == [(1, 1, None), (2, 1, (1, -1)), (3, 2, (2, -1)), (4, 4, None)]
 
     def test_skips_chords_and_loops(self):
         s = _sys(3, [(1, 1, [1, 0, 0]), (1, 2, _zero(3)), (2, 3, _zero(3)), (3, 1, _zero(3))])
-        assert forest_walk(s, spanning_forest(s)) == [(1, None), (2, (2, 1)), (3, (3, 1))]
+        assert _walk(s) == [(1, 1, None), (2, 1, (2, 1)), (3, 2, (3, 1))]
 
     def test_parent_precedes_child(self):
         rng = random.Random(5)
@@ -112,16 +108,18 @@ class TestForestWalk:
             ]
             s = _sys(n, edges)
             walk = forest_walk(s, spanning_forest(s))
-            assert sorted(v for v, _ in walk) == list(range(1, n + 1))
+            assert sorted(v for v, _, _ in walk) == list(range(1, n + 1))
             placed = set()
-            for v, step in walk:
-                if step is not None:
+            for v, parent, step in walk:
+                if step is None:
+                    assert parent == v
+                else:
                     idx, sign = step
                     e = s.edges[idx - 1]
-                    parent, child = (e.tail, e.head) if sign > 0 else (e.head, e.tail)
-                    assert child == v and parent in placed
+                    start, end = (e.tail, e.head) if sign > 0 else (e.head, e.tail)
+                    assert (start, end) == (parent, v) and parent in placed
                 placed.add(v)
-            assert [v for v, step in walk if step is None] == [
+            assert [v for v, _, step in walk if step is None] == [
                 block[0] for block in reference_weak_components(s)
             ]
 
@@ -145,7 +143,7 @@ def test_tree_path_matches_breadth_first_search():
     for _ in range(150):
         s = _random_multigraph(rng, 12, 16)
         forest = spanning_forest(s)
-        table = parent_table(s, forest_walk(s, forest))
+        table = parent_table(forest_walk(s, forest))
         for block in reference_weak_components(s):
             for start in block:
                 for end in block:
@@ -221,7 +219,7 @@ def test_linear_system_matches_dense_reference():
         matrix, cycles = reference_linear_system(s)
         lin = build_linear_system(s)
         assert lin.matrix == matrix
-        assert [cyc.steps for cyc in lin.cycles] == cycles
+        assert list(lin.cycles) == cycles
         ends = [frozenset((t, h)) for t, h, _ in edges]
         seen["loop"] += any(t == h for t, h, _ in edges)
         seen["parallel"] += len(set(ends)) < len(ends)
@@ -234,8 +232,8 @@ def test_cycle_space_rank():
     rng = random.Random(1234)
     for _ in range(150):
         s = _random_multigraph(rng, 8, 16)
-        cycles = fundamental_cycles(s, _walk(s))
-        components = len(weak_components(s))
+        cycles = build_linear_system(s).cycles
+        components = len(reference_weak_components(s))
         assert len(cycles) == len(s.edges) - s.num_vertices + components
 
 

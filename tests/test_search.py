@@ -74,6 +74,14 @@ class TestColourOf:
         # 1**n = 1 however large n is, so no size limit on n may apply
         assert colour_of(Table((7, 8, 9), default=5), 1, 2**65) == 7
 
+    def test_rejects_what_is_not_a_spec(self):
+        with pytest.raises(TypeError, match="not a colouring spec"):
+            colour_of(object(), 2)
+
+    def test_bounded_pow_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            expreg.search._bounded_pow(2, -1, 10)
+
     def test_radop_nu_needs_a_prime(self):
         with pytest.raises(NotPrime, match="4 is not prime"):
             RadoPNu(4)

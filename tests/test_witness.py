@@ -246,6 +246,11 @@ class TestPathSums:
         with pytest.raises(NotASolution):
             path_sums(build_linear_system(s), (1, 2))
 
+    def test_rejects_z_of_the_wrong_length(self):
+        lin = build_linear_system(ExpSystem.square(2, [(1, 2, [1, 1])]))
+        with pytest.raises(NotASolution, match="z has length 3, expected 2"):
+            path_sums(lin, (1, 1, 1))
+
 
 class TestLift:
     def test_spec_instance(self):
@@ -323,6 +328,12 @@ class TestVerifyWitness:
         s = ExpSystem.square(1, [])
         w = Witness(2, 2, (1,), (0,))
         assert verify_witness(s, w)
+
+    def test_wrong_lengths(self):
+        s = ExpSystem.square(2, [(1, 2, [1, 1])])
+        assert verify_witness(s, Witness(2, 2, (1, 2), (0, 3)))
+        assert not verify_witness(s, Witness(2, 2, (1, 2), (0, 3, 3)))
+        assert not verify_witness(s, Witness(2, 2, (1, 2, 1), (0, 3)))
 
 
 class TestForbiddingColouring:

@@ -10,11 +10,16 @@ is recorded as the item's output, and later layers skip the item.
 Each checkout runs in a fresh interpreter that imports expreg from its own
 src, on inputs from this script's repository; rounds alternate which
 checkout goes first.  Times are CPU seconds of 3 passes per layer, the
-first reported as cold.  Printed: one JSON document with, per checkout,
-case and layer, the item count, the median cold seconds, the median warm
-milliseconds per item, every pass time and a digest of the outputs.  The
-digest reads each output's content in the form the report writes it
-(`contents`), so a change of representation alone does not change it.
+first reported as cold.  One more layer, `process`, times whole processes:
+per round and fixture, 3 passes of `python -m expreg.cli decide FIXTURE
+--witness --json`, in wall seconds, each pass running one fresh
+interpreter per checkout in turn, with the checkout's src as its
+PYTHONPATH; its output is the exit code and stdout.  Printed: one JSON
+document with, per checkout, case and layer, the item count, the median
+cold seconds, the median warm milliseconds per item, every pass time and
+a digest of the outputs.  The digest reads each output's content in the
+form the report writes it (`contents`), so a change of representation
+alone does not change it.
 The first checkout is the baseline: if another run's digest differs, the
 script names each differing (case, layer) and exits 1.
 
@@ -30,6 +35,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -213,6 +219,29 @@ def measure(checkout: Path, seed: int) -> dict:
     return result
 
 
+def time_processes(checkouts: list[Path], order: list[int]) -> list[dict]:
+    """Per checkout, case -> {"process": items, pass times, digest} for each
+    fixture; the checkouts take turns, in `order`, process by process, so
+    a change in the machine's load falls on all of them alike."""
+    result: list[dict] = [{} for _ in checkouts]
+    for path in sorted((REPO / "fixtures").glob("*.xps")):
+        argv = [sys.executable, "-m", "expreg.cli", "decide", str(path), "--witness", "--json"]
+        times: list[list[float]] = [[] for _ in checkouts]
+        outputs: list = [None] * len(checkouts)
+        for _ in range(PASSES):
+            for k in order:
+                env = dict(os.environ, PYTHONPATH=str(checkouts[k].resolve() / "src"))
+                start = time.perf_counter()
+                proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+                times[k].append(time.perf_counter() - start)
+                outputs[k] = [proc.returncode, proc.stdout]
+        for k, output in enumerate(outputs):
+            digest = hashlib.sha256(json.dumps([0, output]).encode()).hexdigest()[:16]
+            result[k][f"fixtures/{path.stem}"] = {
+                "process": {"items": 1, "pass_s": times[k], "digest": digest}}
+    return result
+
+
 def summarize(rounds: list[dict]) -> dict:
     summary: dict = {}
     for case, by_layer in rounds[0].items():
@@ -249,10 +278,14 @@ def main() -> int:
     runs: list[list[dict]] = [[] for _ in args.checkouts]
     order = list(enumerate(args.checkouts))
     for r in range(args.rounds):
-        for k, checkout in order if r % 2 == 0 else order[::-1]:
+        turns = order if r % 2 == 0 else order[::-1]
+        for k, checkout in turns:
             argv = [sys.executable, __file__, str(checkout), "--measure", "--seed", str(args.seed)]
             proc = subprocess.run(argv, capture_output=True, text=True, check=True)
             runs[k].append(json.loads(proc.stdout))
+        for k, cases in enumerate(time_processes(args.checkouts, [k for k, _ in turns])):
+            for case, layer in cases.items():
+                runs[k][-1].setdefault(case, {}).update(layer)
     differ = [differences(runs[0][0], rounds) for rounds in runs]
     print(json.dumps({
         "seed": args.seed,

@@ -2,8 +2,9 @@
 
 Exit codes for `decide`: 0 partition regular, 1 not partition regular,
 2 error or inconclusive (parse failure, column budget, a `--p` prime
-with no proof, internal error).  All output is deterministic: identical
-inputs and flags give byte-identical output.
+with no proof, output that cannot be written, internal error).  All
+output is deterministic: identical inputs and flags give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import itertools
+import os as _os
 import sys as _sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -547,7 +549,17 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader went away, which is no defect; what is left in the
+        # buffer goes to the null device, so the flush at exit cannot fail
+        devnull = _os.open(_os.devnull, _os.O_WRONLY)
+        _os.dup2(devnull, _sys.stdout.fileno())
+        _os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror}", file=_sys.stderr)
+        return 2
     except (CommandError, ValueError) as exc:
         # dsl.ParseError, ColumnBudgetExceeded and NotPrime are ValueErrors
         print(f"error: {exc}", file=_sys.stderr)

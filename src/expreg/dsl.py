@@ -278,5 +278,5 @@ def print_colouring(spec) -> str:
     if kind == "table":
         body = " ".join(str(c) for c in spec.colours)
         return f"table[default {spec.default}: {body}]"
-    (arg,) = vars(spec).values()  # every other kind has one field
+    (arg,) = spec._values()  # every other kind has one field
     return f"{kind}:{print_colouring(arg) if kind == 'omega' else arg}"

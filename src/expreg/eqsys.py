@@ -8,12 +8,10 @@ integers > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One equation: X_tail raised to a Y-monomial equals X_head."""
 
     tail: int
@@ -25,8 +23,7 @@ class Edge:
         return not any(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ExpSystem:
+class ExpSystem(NamedTuple):
     """A system of exponential equations.
 
     `num_vertices` counts the X-variables (digraph vertices) and `num_y`

@@ -17,15 +17,14 @@ cycle is the tuple of its signed steps, and no edge index repeats in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .eqsys import ExpSystem
 from .rado import IntMatrix
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """The analysis of `system`: one cycle-indexed row of constraints on the
     Y-exponents per basis cycle ((edge, sign), ...), and the forest walk
     ((vertex, parent, step) entries) and component map (vertex -> smallest

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -35,22 +34,61 @@ class SelfCheckFailed(RuntimeError):
 DEFAULT_COLUMN_BUDGET = 12
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the value classes whose constructors check their fields.
+
+    The fields are the subclass's `__slots__`, set once by its `__init__`
+    through `_init`.  An instance cannot be assigned to, equals only an
+    instance of its own class with equal fields, reads back as
+    Class(field=value, ...), and is pickled and copied through its
+    `__init__`, so the checks run again.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class IntMatrix(Frozen):
     """A rectangular integer matrix; zero rows are allowed, zero columns are not."""
 
-    num_rows: int
-    num_cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("num_rows", "num_cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.num_cols < 1:
+    def __init__(self, num_rows: int, num_cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if num_cols < 1:
             raise ValueError("matrix must have at least one column")
-        if self.num_rows < 0 or len(self.entries) != self.num_rows:
+        if num_rows < 0 or len(entries) != num_rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.num_cols:
+        for row in entries:
+            if len(row) != num_cols:
                 raise DimensionMismatch("ragged matrix rows")
+        self._init(num_rows, num_cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -115,8 +153,7 @@ class _Annihilator:
         self.basis = kept
 
 
-@dataclass(frozen=True)
-class ColumnsPartition:
+class ColumnsPartition(NamedTuple):
     """Ordered partition S_0, ..., S_d of the column indices (1-based)."""
 
     blocks: tuple[tuple[int, ...], ...]
@@ -258,7 +295,6 @@ class ModProof(NamedTuple):
 
     `_greedy_levels`, testing block sums mod `prime`, took `blocks` and
     then found no admissible block among the remaining columns at `level`.
-    A NamedTuple, which builds faster at import than a dataclass.
     """
 
     prime: int

@@ -29,12 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .eqsys import ExpSystem
 from .graphs import LinearSystem, build_linear_system
-from .rado import IntMatrix, NotPrime, SelfCheckFailed, is_prime, lowest_digit
+from .rado import Frozen, IntMatrix, NotPrime, SelfCheckFailed, is_prime, lowest_digit
 from .witness import Witness, iter_positive_solutions, lift, prime_omega
 
 
@@ -42,65 +41,66 @@ from .witness import Witness, iter_positive_solutions, lift, prime_omega
 # colouring specs
 
 
-@dataclass(frozen=True)
-class Constant:
-    colour: int
+class Constant(Frozen):
+    __slots__ = ("colour",)
 
-    def __post_init__(self) -> None:
-        if self.colour < 0:
+    def __init__(self, colour: int) -> None:
+        if colour < 0:
             raise ValueError("colours must be non-negative")
+        self._init(colour)
 
 
-@dataclass(frozen=True)
-class Mod:
+class Mod(Frozen):
     """colour(x) = x mod m."""
 
-    modulus: int
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int) -> None:
+        if modulus < 1:
             raise ValueError("modulus must be at least 1")
+        self._init(modulus)
 
 
-@dataclass(frozen=True)
-class RadoP:
+class RadoP(Frozen):
     """colour(x) = lowest nonzero base-p digit of x."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        self._init(p)
 
 
-@dataclass(frozen=True)
-class RadoPNu:
+class RadoPNu(Frozen):
     """The base-p digit colouring composed with the prime-factor count; x >= 2."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        self._init(p)
 
 
-@dataclass(frozen=True)
-class OmegaOf:
+class OmegaOf(Frozen):
     """An arbitrary colouring composed with the prime-factor count; x >= 2."""
 
-    base: "ColouringSpec"
+    __slots__ = ("base",)
+
+    def __init__(self, base: "ColouringSpec") -> None:
+        self._init(base)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Frozen):
     """Explicit colours for 1..len(colours), default beyond that range."""
 
-    colours: tuple[int, ...]
-    default: int = 0
+    __slots__ = ("colours", "default")
 
-    def __post_init__(self) -> None:
-        if self.default < 0 or any(c < 0 for c in self.colours):
+    def __init__(self, colours: tuple[int, ...], default: int = 0) -> None:
+        if default < 0 or any(c < 0 for c in colours):
             raise ValueError("colours must be non-negative")
+        self._init(colours, default)
 
 
 ColouringSpec = Constant | Mod | RadoP | RadoPNu | OmegaOf | Table
@@ -225,8 +225,7 @@ def eval_exp(sys: ExpSystem, xs, ys, ceiling: int) -> list[str]:
 # exhaustive searches
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of an exhaustive monochromatic search.
 
     `assignment` is the lexicographically first solution when one exists.

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .eqsys import ExpSystem
 from .graphs import LinearSystem
@@ -228,8 +228,7 @@ def compute_k(lin: LinearSystem, z: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(raw[v - 1] - low[lin.reps[v]] for v in range(1, len(raw) + 1))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A solved instance: x_i = a**(b**k_i) and y_i = b**z_i, none of them built."""
 
     a: int

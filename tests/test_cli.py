@@ -176,6 +176,24 @@ class TestDecide:
         assert out == ""
         assert err == "internal error: RuntimeError: stage broke\n"
 
+    def test_closed_stdout_is_an_output_error(self, fixture_path):
+        # a reader that went away is not a defect, and the interpreter's
+        # own flush at exit must not report the pipe a second time
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [_sys.executable, "-m", "expreg.cli", "decide", fixture_path("exp-pr.xps")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: Broken pipe\n"
+
     def test_usage_error_still_exits_through_argparse(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli("decide")

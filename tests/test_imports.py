@@ -21,12 +21,14 @@ def test_no_function_body_imports_in_the_package():
     assert local == []
 
 
-def test_cli_and_corpus_load_no_rational_arithmetic():
-    # both certificates test block sums with one integer annihilator, so a
-    # decide pays for neither module's import
+def test_cli_and_corpus_load_no_rational_arithmetic_and_no_dataclasses():
+    # both certificates test block sums with one integer annihilator, and
+    # the records are NamedTuples, so a decide pays for none of these
+    # imports (dataclasses alone pulls in inspect, ast, dis and tokenize)
     code = (
         "import sys, expreg.cli, expreg.corpus\n"
-        "print(sorted(m for m in ('decimal', 'fractions') if m in sys.modules))\n"
+        "print(sorted(m for m in ('dataclasses', 'decimal', 'fractions', 'inspect')"
+        " if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

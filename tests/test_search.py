@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import expreg.search
 from expreg.corpus import system_corpus
-from expreg.dsl import parse_system
+from expreg.dsl import parse_colouring, parse_system, print_colouring
 from expreg.graphs import build_linear_system
 from expreg.eqsys import Edge, ExpSystem, normalize
 import expreg.rado
-from expreg.rado import IntMatrix, NotPrime, SelfCheckFailed
+from expreg.rado import ColumnsPartition, IntMatrix, NotPrime, SelfCheckFailed
 from expreg.search import (
     CEILING,
     FAIL,
@@ -35,7 +35,7 @@ from expreg.search import (
     vdw_number,
     witness_colours,
 )
-from expreg.witness import lift
+from expreg.witness import Witness, lift
 
 import helpers
 from helpers import (
@@ -127,6 +127,74 @@ def assert_matches_reference(spec, a, n=None):
             colour_of(spec, *args)
     else:
         assert colour_of(spec, *args) == expected, (a, n, spec)
+
+
+class TestValues:
+    # specs and records are values: specs compare and hash with their kind,
+    # nothing can be assigned, and each reads back as Kind(field=value, ...)
+    def test_kinds_with_equal_fields_differ(self):
+        assert Mod(3) != RadoP(3)
+        assert RadoP(3) != RadoPNu(3)
+        assert OmegaOf(RadoP(3)) != OmegaOf(RadoPNu(3))
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=repr)
+    def test_equal_specs_are_one_key(self, spec):
+        copy = parse_colouring(print_colouring(spec))
+        assert copy is not spec
+        assert copy == spec and hash(copy) == hash(spec)
+        assert {spec: "first"}[copy] == "first"
+
+    @pytest.mark.parametrize(
+        "value,field",
+        [
+            (Constant(1), "colour"),
+            (Mod(3), "modulus"),
+            (RadoP(3), "p"),
+            (RadoPNu(3), "p"),
+            (OmegaOf(Mod(2)), "base"),
+            (Table((1, 2)), "default"),
+            (Edge(1, 2, (1,)), "coeffs"),
+            (IntMatrix.from_rows([[1, -1]]), "entries"),
+            (Witness(2, 2, (1,), (0, 1)), "k"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_fields_cannot_be_assigned(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 7)
+        assert getattr(value, field) == before
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (Constant(4), "Constant(colour=4)"),
+            (Mod(3), "Mod(modulus=3)"),
+            (RadoP(3), "RadoP(p=3)"),
+            (RadoPNu(2), "RadoPNu(p=2)"),
+            (OmegaOf(Mod(2)), "OmegaOf(base=Mod(modulus=2))"),
+            (Table((1, 2)), "Table(colours=(1, 2), default=0)"),
+            (Edge(1, 2, (1, -1)), "Edge(tail=1, head=2, coeffs=(1, -1))"),
+            (
+                ExpSystem.square(2, [(1, 2, [1, 0])]),
+                "ExpSystem(num_vertices=2, num_y=2, edges=(Edge(tail=1, head=2, coeffs=(1, 0)),))",
+            ),
+            (
+                IntMatrix.from_rows([[1, -1]]),
+                "IntMatrix(num_rows=1, num_cols=2, entries=((1, -1),))",
+            ),
+            (ColumnsPartition(((1,), (2, 3))), "ColumnsPartition(blocks=((1,), (2, 3)))"),
+            (Witness(2, 3, (1, 2), (0, 3)), "Witness(a=2, b=3, z=(1, 2), k=(0, 3))"),
+            (
+                SearchReport(2, 9, 100, 4, None, 0),
+                "SearchReport(var_low=2, var_high=9, ceiling=100, num_variables=4,"
+                " assignment=None, skipped=0)",
+            ),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text
 
 
 class TestColourOfTower:
